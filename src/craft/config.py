@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .toy import TASK_RULES
 from .tucker import TuckerRanks
 
@@ -63,12 +63,12 @@ _FINITE_FLOATS = ("eta", "pretrain_eta")
 def _validate(cfg: RunConfig) -> None:
     for name in _POSITIVE_INTS:
         v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 1:
+        if not is_integer(v) or v < 1:
             raise ConfigError(f"{name} must be a positive integer, got {v!r}")
     # steps=0 is allowed: it freezes the adaptation for preservation checks
     for name in ("seed", "steps"):
         v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 0:
+        if not is_integer(v) or v < 0:
             raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
     for name in _NONNEGATIVE_FLOATS:
         v = getattr(cfg, name)

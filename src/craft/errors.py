@@ -1,7 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check every
+validator uses before raising them.
 
 The CLI maps each class onto a stable exit code; see docs/FORMATS.md.
 """
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools and for floats,
+    even integral ones such as ``2.0``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class CraftError(Exception):

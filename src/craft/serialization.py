@@ -97,6 +97,10 @@ def atomic_write(path, blob: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

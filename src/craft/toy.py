@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
-from .errors import DivergenceError, PretrainError, ValidationError
+from .errors import DivergenceError, PretrainError, ValidationError, is_integer
 from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
@@ -45,11 +45,11 @@ class ToyConfig:
     def __post_init__(self):
         for name in ("n_layers", "d_model", "vocab_size", "seq_len", "n_classes"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
         if self.d_model % 2 != 0:
             raise ValidationError(f"d_model must be even, got {self.d_model}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -67,9 +67,9 @@ class SyntheticTask:
             raise ValidationError(f"rule must be one of {TASK_RULES}, got {self.rule!r}")
         for name in ("train_size", "eval_size"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def flipped(self) -> "SyntheticTask":
@@ -179,29 +179,39 @@ def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax computed in place: ``scores`` is overwritten and returned."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def forward(model: ToyModel, tokens, want_cache: bool = False):
     """Logits ``(batch, n_classes)``; with ``want_cache`` also the per-layer
-    activations needed by the backward pass (including attention weights)."""
+    activations needed by the backward pass (including attention weights).
+
+    Cached ``x`` and ``ctx`` are ``(batch * seq_len, d)``; ``q``, ``k`` and
+    ``v`` are ``(batch, seq_len, d)`` and ``attn`` is ``(batch, seq_len, seq_len)``.
+    """
     tok = _check_tokens(model, tokens)
-    inv_sqrt_d = 1.0 / np.sqrt(model.cfg.d_model)
+    batch, seq_len, d = tok.shape[0], model.cfg.seq_len, model.cfg.d_model
+    inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = model.effective_qv()
-    x = model.embeddings[tok]
+    # activations are (batch * seq_len, d) so each projection is one GEMM
+    x = model.embeddings[tok.ravel()]
     layers = []
     for layer in range(model.cfg.n_layers):
-        q = x @ wq_eff[layer].T
-        k = x @ model.wk[layer].T
-        v = x @ wv_eff[layer].T
-        attn = _softmax_rows((q @ k.swapaxes(1, 2)) * inv_sqrt_d)
-        ctx = attn @ v
+        q = (x @ wq_eff[layer].T).reshape(batch, seq_len, d)
+        k = (x @ model.wk[layer].T).reshape(batch, seq_len, d)
+        v = (x @ wv_eff[layer].T).reshape(batch, seq_len, d)
+        scores = q @ k.swapaxes(1, 2)
+        scores *= inv_sqrt_d
+        attn = _softmax_rows(scores)
+        ctx = (attn @ v).reshape(-1, d)
         out = ctx @ model.wo[layer].T
         layers.append({"x": x, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx})
         x = x + out
-    pooled = x.mean(axis=1)
+    pooled = x.reshape(batch, seq_len, d).mean(axis=1)
     logits = pooled @ model.head_w + model.head_b
     if not want_cache:
         return logits
@@ -243,29 +253,31 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
         "wv": np.zeros_like(model.wv),
         "wo": np.zeros_like(model.wo),
     }
-    inv_sqrt_d = 1.0 / np.sqrt(model.cfg.d_model)
-    seq_len = model.cfg.seq_len
-    dx = np.repeat((dlogits @ model.head_w.T)[:, None, :] / seq_len, seq_len, axis=1)
+    batch, seq_len, d = cache["tokens"].shape[0], model.cfg.seq_len, model.cfg.d_model
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    dx = np.repeat(dlogits @ model.head_w.T / seq_len, seq_len, axis=0)
 
     for layer in range(model.cfg.n_layers - 1, -1, -1):
         c = cache["layers"][layer]
-        d_out = dx
-        g["wo"][layer] = np.einsum("bli,blj->ij", d_out, c["ctx"])
-        d_ctx = d_out @ model.wo[layer]
-        d_attn = np.einsum("blj,bmj->blm", d_ctx, c["v"])
-        d_v = np.einsum("blm,blj->bmj", c["attn"], d_ctx)
-        # softmax rows: dS = P * (dP - sum(dP * P))
-        d_scores = c["attn"] * (d_attn - np.sum(d_attn * c["attn"], axis=-1, keepdims=True))
+        g["wo"][layer] = dx.T @ c["ctx"]
+        d_ctx = (dx @ model.wo[layer]).reshape(batch, seq_len, d)
+        d_attn = d_ctx @ c["v"].swapaxes(1, 2)
+        d_v = (c["attn"].swapaxes(1, 2) @ d_ctx).reshape(-1, d)
+        # softmax rows: dS = P * (dP - sum(dP * P)), overwriting dP
+        d_scores = d_attn
+        d_scores -= np.sum(d_scores * c["attn"], axis=-1, keepdims=True)
+        d_scores *= c["attn"]
         d_scores *= inv_sqrt_d
-        d_q = d_scores @ c["k"]
-        d_k = np.einsum("blm,bli->bmi", d_scores, c["q"])
-        g["wq"][layer] = np.einsum("bli,blj->ij", d_q, c["x"])
-        g["wk"][layer] = np.einsum("bli,blj->ij", d_k, c["x"])
-        g["wv"][layer] = np.einsum("bli,blj->ij", d_v, c["x"])
-        dx = dx + d_q @ cache["wq_eff"][layer] + d_k @ model.wk[layer] \
-            + d_v @ cache["wv_eff"][layer]
+        d_q = (d_scores @ c["k"]).reshape(-1, d)
+        d_k = (d_scores.swapaxes(1, 2) @ c["q"]).reshape(-1, d)
+        g["wq"][layer] = d_q.T @ c["x"]
+        g["wk"][layer] = d_k.T @ c["x"]
+        g["wv"][layer] = d_v.T @ c["x"]
+        dx += d_q @ cache["wq_eff"][layer]
+        dx += d_k @ model.wk[layer]
+        dx += d_v @ cache["wv_eff"][layer]
 
-    np.add.at(g["embeddings"], cache["tokens"], dx)
+    np.add.at(g["embeddings"], cache["tokens"].ravel(), dx)
     return loss, g
 
 
@@ -398,17 +410,23 @@ def head_only_finetune(
     eta: float,
     steps: int,
 ) -> tuple[ToyModel, list[float]]:
-    """Baseline: identical budget and head learning rate, backbone fully frozen."""
+    """Baseline: identical budget and head learning rate, backbone fully frozen.
+
+    Only the head trains, so the pooled features are computed once and the
+    steps run logistic regression on them.
+    """
     if not np.isfinite(eta):
         raise ValidationError(f"eta must be finite, got {eta!r}")
     tuned = model.clone()
     tokens, labels = make_dataset(task, model.cfg, "train")
+    _, cache = forward(tuned, tokens, want_cache=True)
+    pooled = cache["pooled"]
     losses = []
     for step in range(steps):
-        loss, g = loss_and_grads(tuned, tokens, labels)
+        loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)
         if not np.isfinite(loss):
             raise DivergenceError("fine-tuning loss became non-finite", step=step)
         losses.append(loss)
-        tuned.head_w -= eta * g["head_w"]
-        tuned.head_b -= eta * g["head_b"]
+        tuned.head_w -= eta * (pooled.T @ dlogits)
+        tuned.head_b -= eta * dlogits.sum(axis=0)
     return tuned, losses

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, ValidationError
+from .errors import ConvergenceError, RankError, ValidationError, is_integer
 from .linalg import truncated_svd
 from .tensor import frobenius_norm, mode_n_product, tensor3, unfold
 
@@ -60,7 +60,7 @@ class TuckerRanks:
 
     def __post_init__(self):
         for name, r in zip(("r1", "r2", "r3"), self.as_tuple()):
-            if int(r) != r or int(r) < 1:
+            if not is_integer(r) or r < 1:
                 raise RankError(f"{name} must be a positive integer, got {r!r}")
 
     def as_tuple(self) -> tuple[int, int, int]:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from craft.config import RunConfig, load_run_config, parse_run_config
@@ -79,6 +80,20 @@ def test_duplicate_key_rejected():
 def test_range_violations_rejected(text):
     with pytest.raises(ConfigError):
         parse_run_config(text)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", True), ("steps", 3.0), ("seed", False), ("seed", 1.0),
+    ("n_layers", True), ("r1", 2.0), ("train_size", 64.0),
+])
+def test_integer_fields_reject_bools_and_floats(field, value):
+    with pytest.raises(ConfigError):
+        RunConfig(**{field: value})
+
+
+def test_integer_fields_accept_numpy_integers():
+    cfg = RunConfig(steps=np.int64(5), seed=np.int32(3), r1=np.int64(2))
+    assert (cfg.steps, cfg.seed, cfg.r1) == (5, 3, 2)
 
 
 def test_cross_field_rank_checks_follow_overrides():

@@ -186,6 +186,16 @@ def test_adapter_with_inconsistent_reconstruction_rejected(tmp_path):
         read_file(path)
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_tensor3(tmp_path / "t.crft", np.ones((2, 2, 2)))
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "t.crft").st_mode & 0o777 == mode
+
+
 def test_write_leaves_no_temp_files(tmp_path):
     rng = np.random.default_rng(8)
     write_tensor3(tmp_path / "t.crft", rng.standard_normal((2, 2, 2)))

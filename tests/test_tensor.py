@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from craft.errors import ValidationError
 from craft.tensor import (
@@ -108,6 +111,18 @@ def test_fold_unfold_randomized_dims():
         t = rng.standard_normal(dims)
         mode = int(rng.integers(1, 4))
         assert np.array_equal(fold(unfold(t, mode), mode, dims), t)
+
+
+@given(
+    t=arrays(np.float64, st.tuples(*[st.integers(1, 6)] * 3),
+             elements=st.floats(allow_nan=False, allow_infinity=False)),
+    mode=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fold_unfold_is_bitwise_identity(t, mode):
+    out = fold(unfold(t, mode), mode, t.shape)
+    assert out.shape == t.shape
+    assert out.tobytes() == t.tobytes()
 
 
 def test_fold_zero_matrix():

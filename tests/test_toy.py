@@ -258,6 +258,26 @@ def test_pretrain_failure_is_explicit():
                                                   eval_size=32), max_steps=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ToyConfig(n_layers=True),
+    lambda: ToyConfig(seed=2.0),
+    lambda: ToyConfig(d_model=8.0),
+    lambda: ToyConfig(seed=np.bool_(False)),
+    lambda: SyntheticTask(train_size=True),
+    lambda: SyntheticTask(seed=1.0),
+], ids=["n_layers=True", "seed=2.0", "d_model=8.0", "seed=np.False_",
+        "task.train_size=True", "task.seed=1.0"])
+def test_integer_fields_reject_bools_and_floats(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_integer_fields_accept_numpy_integers():
+    cfg = ToyConfig(n_layers=np.int64(2), seed=np.uint32(7))
+    assert (cfg.n_layers, cfg.seed) == (2, 7)
+    assert SyntheticTask(seed=np.int64(1), train_size=np.int32(8)).train_size == 8
+
+
 def test_toy_config_validation():
     with pytest.raises(ValidationError):
         ToyConfig(d_model=7)

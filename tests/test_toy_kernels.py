@@ -1,0 +1,103 @@
+"""The toy model's GEMM kernels against the einsum reference in toy_reference.
+
+Reordered contractions change rounding, so the loss and each gradient group
+must match the reference to a relative error of 1e-12 of that group's
+max-abs value. The head-only baseline changed no arithmetic, only where the
+pooled features come from, so it must match its reference bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from craft.toy import (
+    SyntheticTask,
+    ToyConfig,
+    ToyModel,
+    build_adapters,
+    head_only_finetune,
+    loss_and_grads,
+    make_dataset,
+    pretrain,
+)
+from craft.tucker import TuckerRanks
+from toy_reference import reference_head_only_finetune, reference_loss_and_grads
+
+REL_TOL = 1e-12
+GROUPS = ("head_w", "head_b", "embeddings", "wq", "wk", "wv", "wo")
+
+
+def assert_matches_reference(model, tokens, labels):
+    loss, g = loss_and_grads(model, tokens, labels)
+    ref_loss, ref_g = reference_loss_and_grads(model, tokens, labels)
+    assert abs(loss - ref_loss) <= REL_TOL * abs(ref_loss)
+    assert set(g) == set(GROUPS)
+    for name in GROUPS:
+        assert g[name].shape == ref_g[name].shape, name
+        err = np.abs(g[name] - ref_g[name]).max()
+        assert err <= REL_TOL * np.abs(ref_g[name]).max(), (name, err)
+
+
+def random_model(cfg, seed, ranks=None):
+    """Model with a nonzero head, so every backbone gradient is nonzero; with
+    ``ranks`` the Q and V weights route through adapters (craft-adapt)."""
+    rng = np.random.default_rng(seed)
+    model = ToyModel(cfg, rng)
+    model.head_w = 0.3 * rng.standard_normal(model.head_w.shape)
+    model.head_b = 0.1 * rng.standard_normal(model.head_b.shape)
+    if ranks is not None:
+        model.adapters = build_adapters(model, ranks)
+    return model
+
+
+CONFIGS = [
+    (ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=1), 16, TuckerRanks(2, 3, 3)),
+    (ToyConfig(n_layers=3, d_model=6, vocab_size=10, seq_len=7, n_classes=3, seed=2), 9,
+     TuckerRanks(2, 4, 5)),
+    (ToyConfig(n_layers=1, d_model=2, vocab_size=4, seq_len=1, seed=3), 4, TuckerRanks(1, 1, 2)),
+    (ToyConfig(), 64, TuckerRanks(4, 8, 8)),
+]
+
+
+@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+@pytest.mark.parametrize("cfg,batch,ranks", CONFIGS)
+def test_loss_and_grads_match_einsum_reference(cfg, batch, ranks, craft_adapt):
+    model = random_model(cfg, seed=cfg.seed + 10, ranks=ranks if craft_adapt else None)
+    assert model.mode == ("craft-adapt" if craft_adapt else "full-train")
+    task = SyntheticTask(seed=cfg.seed, train_size=batch, eval_size=batch)
+    tokens, labels = make_dataset(task, cfg, "train")
+    assert_matches_reference(model, tokens, labels)
+
+
+@given(
+    n_layers=st.integers(1, 3),
+    half_d=st.integers(1, 5),
+    vocab_size=st.integers(2, 8),
+    seq_len=st.integers(1, 6),
+    n_classes=st.integers(2, 3),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    craft_adapt=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_loss_and_grads_match_reference_on_random_configs(
+        n_layers, half_d, vocab_size, seq_len, n_classes, batch, seed, craft_adapt):
+    cfg = ToyConfig(n_layers=n_layers, d_model=2 * half_d, vocab_size=vocab_size,
+                    seq_len=seq_len, n_classes=n_classes)
+    ranks = TuckerRanks(1, half_d, half_d) if craft_adapt else None
+    model = random_model(cfg, seed, ranks)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, vocab_size, (batch, seq_len))
+    labels = rng.integers(0, n_classes, batch)
+    assert_matches_reference(model, tokens, labels)
+
+
+def test_head_only_finetune_is_bitwise_equal_to_reference():
+    task = SyntheticTask(seed=5, train_size=64, eval_size=64)
+    m = pretrain(ToyConfig(seed=5), task, max_steps=60)
+    tuned, losses = head_only_finetune(m, task.flipped(), eta=0.1, steps=12)
+    ref, ref_losses = reference_head_only_finetune(m, task.flipped(), eta=0.1, steps=12)
+    assert losses == ref_losses
+    assert tuned.head_w.tobytes() == ref.head_w.tobytes()
+    assert tuned.head_b.tobytes() == ref.head_b.tobytes()

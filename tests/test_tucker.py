@@ -144,6 +144,17 @@ def test_hosvd_rejects_invalid_ranks():
         TuckerRanks(0, 1, 1)
 
 
+@pytest.mark.parametrize("ranks", [(2.0, 2, 2), (True, 2, 2), (2, 2, np.float64(2.0)),
+                                   (2, np.bool_(True), 2), (2, 2.5, 2)])
+def test_ranks_must_be_integers_not_bools(ranks):
+    with pytest.raises(RankError):
+        TuckerRanks(*ranks)
+
+
+def test_ranks_accept_numpy_integers():
+    assert TuckerRanks(np.int64(2), np.int32(3), np.uint8(4)).as_tuple() == (2, 3, 4)
+
+
 def test_compression_counts_reference_point():
     dense, factor = compression_counts((24, 1024, 1024), TuckerRanks(24, 100, 100))
     assert dense == 24 * 1024 * 1024 == 25_165_824

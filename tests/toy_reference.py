@@ -1,0 +1,99 @@
+"""Reference implementations of the toy model's kernels, kept as test oracles.
+
+``reference_loss_and_grads`` is the original einsum formulation of the
+backward pass (with the original 3-D broadcast forward pass), and
+``reference_head_only_finetune`` the original baseline loop, which runs a full
+forward/backward pass per step and reads only the head gradients.
+"""
+
+import numpy as np
+
+from craft.errors import DivergenceError
+from craft.toy import (
+    _check_tokens,
+    cross_entropy,
+    loss_and_grads,
+    make_dataset,
+)
+
+
+def reference_softmax_rows(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_forward(model, tokens):
+    tok = _check_tokens(model, tokens)
+    inv_sqrt_d = 1.0 / np.sqrt(model.cfg.d_model)
+    wq_eff, wv_eff = model.effective_qv()
+    x = model.embeddings[tok]
+    layers = []
+    for layer in range(model.cfg.n_layers):
+        q = x @ wq_eff[layer].T
+        k = x @ model.wk[layer].T
+        v = x @ wv_eff[layer].T
+        attn = reference_softmax_rows((q @ k.swapaxes(1, 2)) * inv_sqrt_d)
+        ctx = attn @ v
+        out = ctx @ model.wo[layer].T
+        layers.append({"x": x, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx})
+        x = x + out
+    pooled = x.mean(axis=1)
+    logits = pooled @ model.head_w + model.head_b
+    cache = {"tokens": tok, "layers": layers, "pooled": pooled,
+             "wq_eff": wq_eff, "wv_eff": wv_eff}
+    return logits, cache
+
+
+def reference_loss_and_grads(model, tokens, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    logits, cache = reference_forward(model, tokens)
+    loss, dlogits = cross_entropy(logits, labels)
+
+    pooled = cache["pooled"]
+    g = {
+        "head_w": pooled.T @ dlogits,
+        "head_b": dlogits.sum(axis=0),
+        "embeddings": np.zeros_like(model.embeddings),
+        "wq": np.zeros_like(model.wq),
+        "wk": np.zeros_like(model.wk),
+        "wv": np.zeros_like(model.wv),
+        "wo": np.zeros_like(model.wo),
+    }
+    inv_sqrt_d = 1.0 / np.sqrt(model.cfg.d_model)
+    seq_len = model.cfg.seq_len
+    dx = np.repeat((dlogits @ model.head_w.T)[:, None, :] / seq_len, seq_len, axis=1)
+
+    for layer in range(model.cfg.n_layers - 1, -1, -1):
+        c = cache["layers"][layer]
+        d_out = dx
+        g["wo"][layer] = np.einsum("bli,blj->ij", d_out, c["ctx"])
+        d_ctx = d_out @ model.wo[layer]
+        d_attn = np.einsum("blj,bmj->blm", d_ctx, c["v"])
+        d_v = np.einsum("blm,blj->bmj", c["attn"], d_ctx)
+        d_scores = c["attn"] * (d_attn - np.sum(d_attn * c["attn"], axis=-1, keepdims=True))
+        d_scores *= inv_sqrt_d
+        d_q = d_scores @ c["k"]
+        d_k = np.einsum("blm,bli->bmi", d_scores, c["q"])
+        g["wq"][layer] = np.einsum("bli,blj->ij", d_q, c["x"])
+        g["wk"][layer] = np.einsum("bli,blj->ij", d_k, c["x"])
+        g["wv"][layer] = np.einsum("bli,blj->ij", d_v, c["x"])
+        dx = dx + d_q @ cache["wq_eff"][layer] + d_k @ model.wk[layer] \
+            + d_v @ cache["wv_eff"][layer]
+
+    np.add.at(g["embeddings"], cache["tokens"], dx)
+    return loss, g
+
+
+def reference_head_only_finetune(model, task, eta, steps):
+    tuned = model.clone()
+    tokens, labels = make_dataset(task, model.cfg, "train")
+    losses = []
+    for step in range(steps):
+        loss, g = loss_and_grads(tuned, tokens, labels)
+        if not np.isfinite(loss):
+            raise DivergenceError("fine-tuning loss became non-finite", step=step)
+        losses.append(loss)
+        tuned.head_w -= eta * g["head_w"]
+        tuned.head_b -= eta * g["head_b"]
+    return tuned, losses
