@@ -1,15 +1,18 @@
 """Residual-preserving cross-layer adapters.
 
 An adapter bundles a stacked weight tensor ``w_original``, its frozen Tucker
-decomposition, the frozen initial reconstruction ``r_initial``, and three
-small square trainable matrices ``j1, j2, j3``.  The adapted tensor is
+decomposition ``(core, u1, u2, u3)`` and three small square trainable
+matrices ``j1, j2, j3``.  The adapted tensor is ``w_original + delta``, where
+``delta = expand(core, u1 j1, u2 j2, u3 j3) - expand(core, u1, u2, u3)`` is
+evaluated as a telescoped sum in ``dN = jN - I``::
 
-    adapted = w_original + (expand(core, u1 @ j1, u2 @ j2, u3 @ j3) - r_initial)
+    delta = core x1 u1 d1 x2 u2 j2 x3 u3 j3
+          + core x1 u1    x2 u2 d2 x3 u3 j3
+          + core x1 u1    x2 u2    x3 u3 d3
 
-so with every ``jN`` equal to the identity the adapted tensor reproduces the
-original weights exactly, no matter how lossy the truncation was: the
-parenthesized term is computed by the same code path that produced
-``r_initial`` and cancels bitwise.
+At ``jN = I`` every ``dN`` is exactly zero, so the adapted tensor is
+``w_original`` bit for bit however lossy the truncation was, and no dense
+copy of the initial reconstruction is kept.
 
 Only the ``jN`` matrices ever change; updates return a new adapter that
 shares the frozen (read-only) buffers of the old one.
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
-from .tucker import TuckerFactors, TuckerRanks, expand, frozen_array, hosvd, reconstruct
-from .tensor import mode_n_product, tensor3, unfold
+from .errors import DivergenceError, ValidationError, is_integer
+from .tucker import TuckerFactors, TuckerRanks, frozen_array, hosvd, reconstruct
+from .tensor import mode_n_product, tensor3
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class InitConfig:
             raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -49,7 +52,6 @@ class CraftAdapter:
     """Frozen decomposition bundle plus the three trainable square matrices."""
 
     w_original: np.ndarray
-    r_initial: np.ndarray
     factors: TuckerFactors
     j1: np.ndarray
     j2: np.ndarray
@@ -57,12 +59,6 @@ class CraftAdapter:
 
     def __post_init__(self):
         object.__setattr__(self, "w_original", frozen_array(self.w_original, 3, "w_original"))
-        object.__setattr__(self, "r_initial", frozen_array(self.r_initial, 3, "r_initial"))
-        if self.w_original.shape != self.r_initial.shape:
-            raise ValidationError(
-                f"w_original dims {self.w_original.shape} != r_initial dims "
-                f"{self.r_initial.shape}"
-            )
         if self.w_original.shape != self.factors.dims:
             raise ValidationError(
                 f"w_original dims {self.w_original.shape} != factor dims {self.factors.dims}"
@@ -86,6 +82,11 @@ class CraftAdapter:
     def j_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.j1, self.j2, self.j3)
 
+    @property
+    def r_initial(self) -> np.ndarray:
+        """Initial reconstruction ``expand(core, u1, u2, u3)``, recomputed on each access."""
+        return reconstruct(self.factors)
+
 
 def init_adapter(w, ranks: TuckerRanks, cfg: InitConfig) -> CraftAdapter:
     """Decompose ``w``, freeze everything, and draw near-identity ``jN``.
@@ -96,32 +97,33 @@ def init_adapter(w, ranks: TuckerRanks, cfg: InitConfig) -> CraftAdapter:
     """
     arr = tensor3(w)
     factors = hosvd(arr, ranks)
-    r_initial = reconstruct(factors)
     rng = np.random.default_rng(cfg.seed)
     js = []
     for r in ranks.as_tuple():
         noise = cfg.sigma * rng.standard_normal((r, r))
         js.append(np.eye(r) + cfg.epsilon * noise)
-    return CraftAdapter(arr, r_initial, factors, *js)
-
-
-def _adapted_factor_matrices(a: CraftAdapter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = a.factors
-    return (f.u1 @ a.j1, f.u2 @ a.j2, f.u3 @ a.j3)
+    return CraftAdapter(arr, factors, *js)
 
 
 def adapted_tensor(a: CraftAdapter) -> np.ndarray:
-    """Current adapted weight tensor ``w + (expand(core, uN @ jN) - r_initial)``."""
-    a1, a2, a3 = _adapted_factor_matrices(a)
-    return a.w_original + (expand(a.factors.core, a1, a2, a3) - a.r_initial)
+    """Current adapted weight tensor ``w + delta`` (see the module docstring)."""
+    f = a.factors
+    d1, d2, d3 = (j - np.eye(len(j)) for j in a.j_matrices)
+    g1 = mode_n_product(f.core, f.u1, 1)
+    # the first two terms share their mode-3 factor u3 @ j3
+    head = mode_n_product(mode_n_product(f.core, f.u1 @ d1, 1), f.u2 @ a.j2, 2)
+    head += mode_n_product(g1, f.u2 @ d2, 2)
+    delta = mode_n_product(head, f.u3 @ a.j3, 3)
+    delta += mode_n_product(mode_n_product(g1, f.u2, 2), f.u3 @ d3, 3)
+    return a.w_original + delta
 
 
 def extract_layer(a: CraftAdapter, layer: int) -> np.ndarray:
     """Per-layer adapted weight matrix; ``layer`` is 1-based in ``[1, n_layers]``."""
     n_layers = a.dims[0]
-    if int(layer) != layer or not 1 <= int(layer) <= n_layers:
+    if not is_integer(layer) or not 1 <= layer <= n_layers:
         raise ValidationError(f"layer must be in [1, {n_layers}], got {layer!r}")
-    return adapted_tensor(a)[int(layer) - 1].copy()
+    return adapted_tensor(a)[layer - 1].copy()
 
 
 def grad_j(a: CraftAdapter, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,21 +135,24 @@ def grad_j(a: CraftAdapter, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
         unfold(t, n) = (uN @ jN) @ unfold(h_n, n)
 
-    hence ``gN = uN.T @ unfold(upstream, n) @ unfold(h_n, n).T``.  Validated
-    against central finite differences in the test suite.
+    hence ``gN = uN.T @ unfold(upstream, n) @ unfold(h_n, n).T``; the inner
+    product is a contraction of ``upstream`` and ``h_n`` over the two modes
+    other than ``n``.  Validated against central finite differences in the
+    test suite.
     """
     up = tensor3(upstream)
     if up.shape != a.dims:
         raise ValidationError(f"upstream dims {up.shape} != adapter dims {a.dims}")
-    adapted = _adapted_factor_matrices(a)
+    adapted = [u @ j for u, j in zip(a.factors.factor_matrices, a.j_matrices)]
     grads = []
     for n in (1, 2, 3):
+        others = [m for m in (1, 2, 3) if m != n]
         h = a.factors.core
-        for m in (1, 2, 3):
-            if m != n:
-                h = mode_n_product(h, adapted[m - 1], m)
+        for m in others:
+            h = mode_n_product(h, adapted[m - 1], m)
+        axes = [m - 1 for m in others]
         u_n = a.factors.factor_matrices[n - 1]
-        grads.append(u_n.T @ unfold(up, n) @ unfold(h, n).T)
+        grads.append(u_n.T @ np.tensordot(up, h, axes=(axes, axes)))
     return tuple(grads)
 
 
@@ -170,7 +175,7 @@ def sgd_step(a: CraftAdapter, grads, eta: float) -> CraftAdapter:
 
 def trainable_param_count(ranks: TuckerRanks, n_projections: int) -> int:
     """Total trainable entries of the ``jN`` matrices across projection types."""
-    if int(n_projections) != n_projections or n_projections < 1:
+    if not is_integer(n_projections) or n_projections < 1:
         raise ValidationError(
             f"n_projections must be a positive integer, got {n_projections!r}"
         )

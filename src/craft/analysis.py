@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .linalg import symmetric_eig
 from .tensor import matrix
 from .tucker import TuckerRanks, compression_counts
@@ -76,7 +76,7 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
                     f"layer {idx}: projection {name} has {mats[name].shape[1]} "
                     f"columns, expected {d_in}"
                 )
-        if int(k) != k or not 1 <= int(k) <= d_in:
+        if not is_integer(k) or not 1 <= k <= d_in:
             raise ValidationError(f"k must be in [1, {d_in}], got {k!r}")
 
         pooled = np.vstack([mats[name] for name in PROJECTIONS])
@@ -162,11 +162,11 @@ def param_scaling(
     for m in methods:
         if m not in SCALING_METHODS:
             raise ValidationError(f"method must be one of {SCALING_METHODS}, got {m!r}")
-    if int(d) != d or d < 1:
+    if not is_integer(d) or d < 1:
         raise ValidationError(f"d must be a positive integer, got {d!r}")
-    if int(lora_rank) != lora_rank or lora_rank < 1:
+    if not is_integer(lora_rank) or lora_rank < 1:
         raise ValidationError(f"lora_rank must be a positive integer, got {lora_rank!r}")
-    if int(n_projections) != n_projections or n_projections < 1:
+    if not is_integer(n_projections) or n_projections < 1:
         raise ValidationError(f"n_projections must be positive, got {n_projections!r}")
     rows = []
     for method in methods:
@@ -176,7 +176,7 @@ def param_scaling(
             else f"r={lora_rank}" if method != "full" else "-"
         )
         for n_layers in layer_counts:
-            if int(n_layers) != n_layers or n_layers < 1:
+            if not is_integer(n_layers) or n_layers < 1:
                 raise ValidationError(f"layer counts must be positive, got {n_layers!r}")
             rows.append(ScalingRow(
                 method=method, n_layers=int(n_layers), d=int(d), rank_label=label,
@@ -197,17 +197,14 @@ class StorageReport:
     factor_total: int
     ratio: float
     saves_storage: bool
-    # deployment-time accounting only: during training the original tensor and
-    # its initial reconstruction are additionally held as frozen buffers
-    training_note: str = (
-        "training additionally holds the original tensor and its initial "
-        "reconstruction as frozen buffers"
-    )
+    # deployment-time accounting only: during training the original tensor is
+    # additionally held as a frozen buffer
+    training_note: str = "training additionally holds the original tensor as a frozen buffer"
 
 
 def storage_report(dims, ranks: TuckerRanks, n_projections: int = 2) -> StorageReport:
     """Dense vs. decomposed parameter counts, totalled over projection types."""
-    if int(n_projections) != n_projections or n_projections < 1:
+    if not is_integer(n_projections) or n_projections < 1:
         raise ValidationError(f"n_projections must be positive, got {n_projections!r}")
     dense, factor = compression_counts(dims, ranks)
     n_p = int(n_projections)

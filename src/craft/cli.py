@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import serialization as ser
 from .analysis import SCALING_METHODS, dispersion, param_scaling
 from .config import load_run_config
@@ -78,13 +80,18 @@ def _write_text(path, text: str) -> None:
     ser.atomic_write(path, text.encode("utf-8"))
 
 
+def _all_of_ndim(items, ndim: int) -> bool:
+    """True when every item read is a Tensor3 (``ndim`` 3) or Matrix (2) array."""
+    return all(isinstance(x, np.ndarray) and x.ndim == ndim for x in items)
+
+
 def _load_input_tensor(paths):
     """One Tensor3 file, or a list of Matrix files stacked in argument order."""
-    kinds = [ser.read_kind(p) for p in paths]
-    if len(paths) == 1 and kinds[0] == ser.KIND_TENSOR3:
-        return ser.read_tensor3(paths[0])
-    if all(k == ser.KIND_MATRIX for k in kinds):
-        return stack_layers([ser.read_matrix(p) for p in paths])
+    items = [ser.read_file(p) for p in paths]
+    if len(items) == 1 and _all_of_ndim(items, 3):
+        return items[0]
+    if _all_of_ndim(items, 2):
+        return stack_layers(items)
     raise FormatError(
         "decompose input must be one Tensor3 file or a list of Matrix files"
     )
@@ -205,21 +212,16 @@ def _cmd_train_toy(args) -> int:
 
 def _load_analyze_layers(paths):
     """Three Tensor3 stacks (Q, K, V) or groups of three Matrix files per layer."""
-    kinds = [ser.read_kind(p) for p in paths]
-    if len(paths) == 3 and all(k == ser.KIND_TENSOR3 for k in kinds):
-        stacks = [ser.read_tensor3(p) for p in paths]
-        if not all(s.shape[0] == stacks[0].shape[0] for s in stacks):
+    items = [ser.read_file(p) for p in paths]
+    if len(items) == 3 and _all_of_ndim(items, 3):
+        q, k, v = items
+        if not q.shape[0] == k.shape[0] == v.shape[0]:
             raise FormatError("Q, K, V stacks disagree on the layer count")
-        n_layers = stacks[0].shape[0]
+        return [{"Q": q[l], "K": k[l], "V": v[l]} for l in range(q.shape[0])]
+    if len(items) % 3 == 0 and _all_of_ndim(items, 2):
         return [
-            {"Q": stacks[0][l], "K": stacks[1][l], "V": stacks[2][l]}
-            for l in range(n_layers)
-        ]
-    if len(paths) % 3 == 0 and all(k == ser.KIND_MATRIX for k in kinds):
-        mats = [ser.read_matrix(p) for p in paths]
-        return [
-            {"Q": mats[3 * l], "K": mats[3 * l + 1], "V": mats[3 * l + 2]}
-            for l in range(len(paths) // 3)
+            {"Q": items[3 * l], "K": items[3 * l + 1], "V": items[3 * l + 2]}
+            for l in range(len(items) // 3)
         ]
     raise FormatError(
         "analyze input must be three Tensor3 stacks (Q K V) or per-layer "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, ValidationError
+from .errors import ConvergenceError, RankError, ValidationError, is_integer
 from .tensor import matrix
 
 # off-diagonal mass must shrink below OFF_TOL relative to the invariant scale
@@ -73,9 +73,8 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     """
     a = matrix(m)
     rows, cols = a.shape
-    if int(r) != r or not 1 <= int(r) <= rows:
+    if not is_integer(r) or not 1 <= r <= rows:
         raise RankError(f"r must be in [1, {rows}] for a {rows}x{cols} matrix, got {r!r}")
-    r = int(r)
 
     # columns of b are the rows of a; rotations accumulate into u
     b = np.array(a.T, order="F")

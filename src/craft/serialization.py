@@ -3,7 +3,7 @@
 File layout (all integers little-endian; full reference in docs/FORMATS.md)::
 
     magic          4 bytes  b"CRFT"
-    format_version u16      1
+    format_version u16      2 on write; 1 and 2 are read
     payload_kind   u8       1=Tensor3  2=Matrix  3=TuckerFactors  4=CraftAdapter
     dtype          u8       1=float64
     extents        u64 x k  k fixed by kind (3, 2, 6, 6)
@@ -12,11 +12,14 @@ File layout (all integers little-endian; full reference in docs/FORMATS.md)::
 
 For kinds 3 and 4 the extents are ``(I1, I2, I3, r1, r2, r3)``.  Payload
 block order: TuckerFactors stores core, u1, u2, u3; CraftAdapter stores
-w_original, r_initial, core, u1, u2, u3, j1, j2, j3.
+w_original, core, u1, u2, u3, j1, j2, j3.  Version 1 differs only in kind 4,
+which held a dense ``I1 x I2 x I3`` initial reconstruction after w_original;
+the reader skips that block, since the adapter derives it from the factors.
 
 The checksum is CRC-64/XZ (polynomial 0x42F0E1EBA9EA3693, reflected,
 init and xor-out all-ones).  Writes go to a temporary file in the target
-directory and are renamed into place.
+directory, which is flushed to disk with ``fsync`` and then renamed into
+place, so a crash or power loss leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import tempfile
 import numpy as np
 
 from .errors import FormatError
-from .tensor import frobenius_norm
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
 MAGIC = b"CRFT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 KIND_TENSOR3 = 1
 KIND_MATRIX = 2
 KIND_TUCKER_FACTORS = 3
@@ -97,6 +99,8 @@ def atomic_write(path, blob: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         # mkstemp creates the file 0600; give it the mode open() would have
         umask = os.umask(0)
         os.umask(umask)
@@ -136,7 +140,7 @@ def write_craft_adapter(path, a: CraftAdapter) -> None:
     extents = a.dims + a.ranks.as_tuple()
     f = a.factors
     _write(path, KIND_CRAFT_ADAPTER, extents,
-           [a.w_original, a.r_initial, f.core, f.u1, f.u2, f.u3, a.j1, a.j2, a.j3])
+           [a.w_original, f.core, f.u1, f.u2, f.u3, a.j1, a.j2, a.j3])
 
 
 def _parse(path):
@@ -150,7 +154,7 @@ def _parse(path):
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
     version, kind, dtype = struct.unpack_from("<HBB", blob, 4)
-    if version != FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
     if kind not in _EXTENT_COUNT:
         raise FormatError(f"{path}: unknown payload kind {kind}")
@@ -176,7 +180,7 @@ def _parse(path):
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: payload contains non-finite values")
-    return kind, extents, values
+    return version, kind, extents, values
 
 
 def _take(values: np.ndarray, cursor: int, shape) -> tuple[np.ndarray, int]:
@@ -184,14 +188,9 @@ def _take(values: np.ndarray, cursor: int, shape) -> tuple[np.ndarray, int]:
     return values[cursor:cursor + count].reshape(shape), cursor + count
 
 
-def _assemble(path, kind, extents, values):
-    if kind == KIND_TENSOR3:
-        expected = extents[0] * extents[1] * extents[2]
-        if values.size != expected:
-            raise FormatError(f"{path}: payload size {values.size} != extents product {expected}")
-        return values.reshape(extents)
-    if kind == KIND_MATRIX:
-        expected = extents[0] * extents[1]
+def _assemble(path, version, kind, extents, values):
+    if kind in (KIND_TENSOR3, KIND_MATRIX):
+        expected = math.prod(extents)
         if values.size != expected:
             raise FormatError(f"{path}: payload size {values.size} != extents product {expected}")
         return values.reshape(extents)
@@ -202,7 +201,9 @@ def _assemble(path, kind, extents, values):
     r1, r2, r3 = ranks_t
     blocks = [(r1, r2, r3), (dims[0], r1), (dims[1], r2), (dims[2], r3)]
     if kind == KIND_CRAFT_ADAPTER:
-        blocks = [dims, dims] + blocks + [(r1, r1), (r2, r2), (r3, r3)]
+        # version 1 stored the initial reconstruction after w_original
+        w_blocks = [dims, dims] if version == 1 else [dims]
+        blocks = w_blocks + blocks + [(r1, r1), (r2, r2), (r3, r3)]
     expected = sum(math.prod(s) for s in blocks)
     if values.size != expected:
         raise FormatError(f"{path}: payload size {values.size} != expected {expected}")
@@ -216,43 +217,26 @@ def _assemble(path, kind, extents, values):
         if kind == KIND_TUCKER_FACTORS:
             core, u1, u2, u3 = arrays
             return TuckerFactors(core, u1, u2, u3, TuckerRanks(r1, r2, r3))
-        w, r_init, core, u1, u2, u3, j1, j2, j3 = arrays
+        w, *_, core, u1, u2, u3, j1, j2, j3 = arrays
         factors = TuckerFactors(core, u1, u2, u3, TuckerRanks(r1, r2, r3))
-        adapter = CraftAdapter(w, r_init, factors, j1, j2, j3)
+        return CraftAdapter(w, factors, j1, j2, j3)
     except Exception as err:
         raise FormatError(f"{path}: payload fails validation: {err}") from err
-    # guard against a stored reconstruction that does not match its factors
-    from .tucker import reconstruct
-
-    recon = reconstruct(factors)
-    denom = max(frobenius_norm(recon), 1.0)
-    if frobenius_norm(adapter.r_initial - recon) > 1e-8 * denom:
-        raise FormatError(
-            f"{path}: stored initial reconstruction is inconsistent with the factors"
-        )
-    return adapter
 
 
 def read_file(path):
     """Read any tensor file; the returned type follows the stored kind."""
-    kind, extents, values = _parse(path)
-    return _assemble(path, kind, extents, values)
-
-
-def read_kind(path) -> int:
-    """Payload kind code of a file, after full validation."""
-    kind, _, _ = _parse(path)
-    return kind
+    return _assemble(path, *_parse(path))
 
 
 def _read_expected(path, expected_kind):
-    kind, extents, values = _parse(path)
+    version, kind, extents, values = _parse(path)
     if kind != expected_kind:
         raise FormatError(
             f"{path}: expected kind {expected_kind} ({_KIND_NAMES[expected_kind]}), "
             f"found kind {kind} ({_KIND_NAMES[kind]})"
         )
-    return _assemble(path, kind, extents, values)
+    return _assemble(path, version, kind, extents, values)
 
 
 def read_tensor3(path) -> np.ndarray:

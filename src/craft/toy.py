@@ -158,7 +158,7 @@ class ToyModel:
         if self.adapters is not None:
             for name in sorted(self.adapters):
                 a = self.adapters[name]
-                for arr in (a.w_original, a.r_initial, a.factors.core,
+                for arr in (a.w_original, a.factors.core,
                             a.factors.u1, a.factors.u2, a.factors.u3):
                     h.update(arr.tobytes())
         return h.hexdigest()

@@ -3,9 +3,8 @@
 The decomposition is single-pass: one truncated SVD per mode-n unfolding,
 then the core is the triple mode product with the transposed factors.  No
 alternating refinement is performed.  ``TuckerFactors`` freezes its arrays
-(read-only buffers inside a frozen dataclass) because downstream adaptation
-relies on the initial reconstruction being computed from exactly these
-factors for the rest of training.
+(read-only buffers inside a frozen dataclass) because an adapter applies its
+trained delta to exactly these factors for the rest of training.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ class TuckerFactors:
 def expand(core, a1, a2, a3) -> np.ndarray:
     """Multiply ``core`` by a matrix along every mode, in mode order 1, 2, 3.
 
-    Shared by reconstruction and adaptation so that identical factor inputs
-    take the identical arithmetic path.
+    Used by the decomposition (with the transposed factors) and by
+    reconstruction.
     """
     out = mode_n_product(core, a1, 1)
     out = mode_n_product(out, a2, 2)
@@ -163,7 +162,7 @@ def compression_counts(dims, ranks: TuckerRanks) -> tuple[int, int]:
     the three square adaptation matrices that ride along with a deployed
     decomposition.
     """
-    if len(dims) != 3 or any(int(d) != d or d < 1 for d in dims):
+    if len(dims) != 3 or not all(is_integer(d) and d >= 1 for d in dims):
         raise ValidationError(f"dims must be three positive integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     ranks.validate_for(dims)

@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craft.adapter import (
     CraftAdapter,
@@ -17,7 +19,7 @@ from craft.adapter import (
 )
 from craft.errors import DivergenceError, ValidationError
 from craft.tensor import frobenius_norm, stack_layers
-from craft.tucker import TuckerRanks
+from craft.tucker import TuckerRanks, expand, reconstruct
 
 
 def random_adapter(rng, dims=(3, 6, 6), ranks=(2, 3, 3), epsilon=0.01, sigma=0.02):
@@ -45,7 +47,7 @@ def fd_grad(a, upstream, n, h=1e-5):
 
 def frozen_digest(a):
     h = hashlib.sha256()
-    for arr in (a.w_original, a.r_initial, a.factors.core,
+    for arr in (a.w_original, a.factors.core,
                 a.factors.u1, a.factors.u2, a.factors.u3):
         h.update(arr.tobytes())
     return h.hexdigest()
@@ -61,6 +63,33 @@ def test_epsilon_zero_gives_identity_and_exact_preservation():
     assert frobenius_norm(a.r_initial - w) > 0.1 * frobenius_norm(w)
     diff = frobenius_norm(adapted_tensor(a) - w)
     assert diff <= 1e-12 * frobenius_norm(w)
+
+
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_identity_j_reproduces_w_bitwise(dims, data):
+    ranks = tuple(data.draw(st.integers(1, d)) for d in dims)
+    seed = data.draw(st.integers(0, 2**31))
+    w = np.random.default_rng(seed).standard_normal(dims)
+    a = init_adapter(w, TuckerRanks(*ranks), InitConfig(epsilon=0.0, seed=seed))
+    assert adapted_tensor(a).tobytes() == a.w_original.tobytes() == w.tobytes()
+
+
+def test_adapter_stores_no_initial_reconstruction():
+    rng = np.random.default_rng(19)
+    a, _ = random_adapter(rng)
+    assert "r_initial" not in {f.name for f in dataclasses.fields(CraftAdapter)}
+    assert np.array_equal(a.r_initial, reconstruct(a.factors))
+
+
+def test_telescoped_delta_matches_expanded_difference():
+    rng = np.random.default_rng(20)
+    for dims, ranks in (((3, 6, 6), (2, 3, 3)), ((12, 16, 16), (4, 8, 8))):
+        a, w = random_adapter(rng, dims=dims, ranks=ranks)
+        f = a.factors
+        reference = w + (expand(f.core, f.u1 @ a.j1, f.u2 @ a.j2, f.u3 @ a.j3)
+                         - reconstruct(f))
+        assert np.abs(adapted_tensor(a) - reference).max() <= 1e-14
 
 
 def test_default_init_statistics():
@@ -148,7 +177,7 @@ def test_extract_layers_stack_back_to_adapted_tensor():
     np.testing.assert_array_equal(stacked, adapted_tensor(a))
 
 
-@pytest.mark.parametrize("layer", [0, 4, -1, 1.5])
+@pytest.mark.parametrize("layer", [0, 4, -1, 1.5, True, 2.0, np.float64(1.0), np.nan])
 def test_extract_layer_rejects_out_of_range(layer):
     rng = np.random.default_rng(9)
     a, _ = random_adapter(rng)
@@ -250,6 +279,18 @@ def test_trainable_param_count_values():
     assert trainable_param_count(TuckerRanks(8, 8, 8), 2) == 384
 
 
+@pytest.mark.parametrize("n_projections", [0, True, 2.0, np.nan])
+def test_trainable_param_count_rejects_non_integer_projections(n_projections):
+    with pytest.raises(ValidationError):
+        trainable_param_count(TuckerRanks(1, 1, 1), n_projections)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.0, np.nan])
+def test_init_config_rejects_non_integer_seed(seed):
+    with pytest.raises(ValidationError):
+        InitConfig(seed=seed)
+
+
 def test_trainable_param_count_reads_neither_depth_nor_width():
     params = inspect.signature(trainable_param_count).parameters
     assert set(params) == {"ranks", "n_projections"}
@@ -259,5 +300,4 @@ def test_adapter_rejects_mismatched_j_shape():
     rng = np.random.default_rng(18)
     a, _ = random_adapter(rng)
     with pytest.raises(ValidationError):
-        CraftAdapter(a.w_original, a.r_initial, a.factors,
-                     np.eye(5), a.j2, a.j3)
+        CraftAdapter(a.w_original, a.factors, np.eye(5), a.j2, a.j3)

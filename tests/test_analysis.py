@@ -106,6 +106,21 @@ def test_dispersion_validates_inputs():
         dispersion([uneven], k=1)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, np.nan, 0])
+@pytest.mark.parametrize("call", [
+    lambda bad: dispersion([{n: np.eye(3) for n in ("Q", "K", "V")}], k=bad),
+    lambda bad: param_scaling(["craft"], [12], bad, TuckerRanks(1, 1, 1)),
+    lambda bad: param_scaling(["lora"], [12], 8, TuckerRanks(1, 1, 1), lora_rank=bad),
+    lambda bad: param_scaling(["lora"], [12], 8, TuckerRanks(1, 1, 1), n_projections=bad),
+    lambda bad: param_scaling(["lora"], [bad], 8, TuckerRanks(1, 1, 1)),
+    lambda bad: storage_report((3, 4, 5), TuckerRanks(1, 1, 1), n_projections=bad),
+], ids=["dispersion.k", "scaling.d", "scaling.lora_rank", "scaling.n_projections",
+        "scaling.layer_count", "storage.n_projections"])
+def test_integer_arguments_reject_bools_floats_and_nan(call, bad):
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
 def test_lora_reference_count():
     assert method_param_count("lora", 12, 1024, TuckerRanks(24, 100, 100),
                               lora_rank=8, n_projections=1) == 12 * 8 * 2048 == 196_608

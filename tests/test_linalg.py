@@ -106,7 +106,7 @@ def test_svd_r_beyond_numerical_rank_completes_basis():
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
 
 
-@pytest.mark.parametrize("r", [0, -1, 5, 2.5])
+@pytest.mark.parametrize("r", [0, -1, 5, 2.5, True, 2.0, np.float64(2.0), np.nan])
 def test_svd_rejects_r_out_of_range(r):
     with pytest.raises(RankError):
         truncated_svd(np.zeros((4, 6)), r)

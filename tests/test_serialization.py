@@ -3,18 +3,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from craft.adapter import InitConfig, init_adapter
+from craft import serialization
+from craft.adapter import CraftAdapter, InitConfig, init_adapter
 from craft.errors import FormatError
 from craft.serialization import (
     KIND_CRAFT_ADAPTER,
-    KIND_MATRIX,
     KIND_TENSOR3,
-    KIND_TUCKER_FACTORS,
     crc64,
     read_craft_adapter,
     read_file,
-    read_kind,
     read_matrix,
     read_tensor3,
     read_tucker_factors,
@@ -23,13 +23,36 @@ from craft.serialization import (
     write_tensor3,
     write_tucker_factors,
 )
-from craft.tucker import TuckerRanks, hosvd
+from craft.tucker import TuckerFactors, TuckerRanks, hosvd, reconstruct
+
+HEADER6 = 4 + 2 + 1 + 1 + 6 * 8
 
 
-def sample_adapter(seed=0):
+def sample_adapter(seed=0, dims=(3, 5, 4), ranks=(2, 3, 2)):
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((3, 5, 4))
-    return init_adapter(w, TuckerRanks(2, 3, 2), InitConfig(seed=seed))
+    w = rng.standard_normal(dims)
+    return init_adapter(w, TuckerRanks(*ranks), InitConfig(seed=seed))
+
+
+def adapter_blocks(a):
+    f = a.factors
+    return [a.w_original, f.core, f.u1, f.u2, f.u3, a.j1, a.j2, a.j3]
+
+
+def v1_adapter_bytes(a, r_block):
+    """A format-version-1 kind-4 file: ``r_block`` sits after w_original."""
+    blocks = adapter_blocks(a)
+    blocks.insert(1, r_block)
+    body = b"CRFT" + struct.pack("<HBB", 1, KIND_CRAFT_ADAPTER, 1)
+    body += struct.pack("<6Q", *(a.dims + a.ranks.as_tuple()))
+    body += b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blocks)
+    return body + struct.pack("<Q", crc64(body))
+
+
+def assert_same_adapter(x, y):
+    assert x.dims == y.dims and x.ranks == y.ranks
+    for p, q in zip(adapter_blocks(x), adapter_blocks(y)):
+        assert p.tobytes() == q.tobytes()
 
 
 def test_crc64_check_vector():
@@ -44,7 +67,8 @@ def test_tensor3_round_trip_bitwise(tmp_path):
     write_tensor3(path, t)
     back = read_tensor3(path)
     assert np.array_equal(back, t)
-    assert read_kind(path) == KIND_TENSOR3
+    out = read_file(path)
+    assert isinstance(out, np.ndarray) and out.shape == t.shape
 
 
 def test_matrix_round_trip_bitwise(tmp_path):
@@ -53,7 +77,8 @@ def test_matrix_round_trip_bitwise(tmp_path):
     path = tmp_path / "m.crft"
     write_matrix(path, m)
     assert np.array_equal(read_matrix(path), m)
-    assert read_kind(path) == KIND_MATRIX
+    out = read_file(path)
+    assert isinstance(out, np.ndarray) and out.shape == m.shape
 
 
 def test_tucker_factors_round_trip_bitwise(tmp_path):
@@ -66,7 +91,7 @@ def test_tucker_factors_round_trip_bitwise(tmp_path):
     for a, b in zip(back.factor_matrices, f.factor_matrices):
         assert np.array_equal(a, b)
     assert back.ranks == f.ranks
-    assert read_kind(path) == KIND_TUCKER_FACTORS
+    assert isinstance(read_file(path), TuckerFactors)
 
 
 def test_adapter_round_trip_bitwise(tmp_path):
@@ -74,12 +99,85 @@ def test_adapter_round_trip_bitwise(tmp_path):
     path = tmp_path / "a.crft"
     write_craft_adapter(path, a)
     back = read_craft_adapter(path)
-    assert np.array_equal(back.w_original, a.w_original)
-    assert np.array_equal(back.r_initial, a.r_initial)
-    assert np.array_equal(back.factors.core, a.factors.core)
-    for x, y in zip(back.j_matrices, a.j_matrices):
-        assert np.array_equal(x, y)
-    assert read_kind(path) == KIND_CRAFT_ADAPTER
+    assert_same_adapter(back, a)
+    assert isinstance(read_file(path), CraftAdapter)
+
+
+def test_adapter_file_holds_no_initial_reconstruction(tmp_path):
+    a = sample_adapter()
+    path = tmp_path / "a.crft"
+    write_craft_adapter(path, a)
+    scalars = sum(b.size for b in adapter_blocks(a))
+    assert path.stat().st_size == HEADER6 + 8 * scalars + 8
+    assert path.read_bytes()[4:6] == struct.pack("<H", 2)
+
+
+def test_version_1_adapter_file_still_reads(tmp_path):
+    a = sample_adapter()
+    path = tmp_path / "v1.crft"
+    path.write_bytes(v1_adapter_bytes(a, reconstruct(a.factors)))
+    assert_same_adapter(read_craft_adapter(path), a)
+    # a version-1 layout under a version-2 header is a size error
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = struct.pack("<H", 2)
+    body = bytes(blob[:-8])
+    path.write_bytes(body + struct.pack("<Q", crc64(body)))
+    with pytest.raises(FormatError, match="payload size"):
+        read_file(path)
+
+
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_version_1_adapter_reads_back_equal(tmp_path_factory, dims, data):
+    ranks = tuple(data.draw(st.integers(1, d)) for d in dims)
+    a = sample_adapter(data.draw(st.integers(0, 2**31)), dims, ranks)
+    path = tmp_path_factory.mktemp("v1") / "a.crft"
+    path.write_bytes(v1_adapter_bytes(a, reconstruct(a.factors)))
+    assert_same_adapter(read_file(path), a)
+
+
+@given(kind=st.sampled_from(["tensor3", "matrix", "factors", "adapter"]),
+       dims=st.tuples(*[st.integers(1, 4)] * 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_write_read_is_bit_exact_for_every_kind(tmp_path_factory, kind, dims, data):
+    seed = data.draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("rt") / "x.crft"
+    if kind in ("tensor3", "matrix"):
+        value = rng.standard_normal(dims if kind == "tensor3" else dims[:2])
+        (write_tensor3 if kind == "tensor3" else write_matrix)(path, value)
+        back = read_file(path)
+        assert back.shape == value.shape and back.tobytes() == value.tobytes()
+        return
+    ranks = TuckerRanks(*(data.draw(st.integers(1, d)) for d in dims))
+    if kind == "factors":
+        f = hosvd(rng.standard_normal(dims), ranks)
+        write_tucker_factors(path, f)
+        back = read_file(path)
+        assert back.ranks == f.ranks
+        for x, y in zip((back.core,) + back.factor_matrices, (f.core,) + f.factor_matrices):
+            assert x.tobytes() == y.tobytes()
+        return
+    a = sample_adapter(seed, dims, ranks.as_tuple())
+    write_craft_adapter(path, a)
+    assert_same_adapter(read_file(path), a)
+
+
+_SMALL_ADAPTER = sample_adapter(3, (2, 3, 2), (1, 2, 1))
+
+
+@given(mask=st.integers(1, 255))
+@settings(max_examples=20, deadline=None)
+def test_every_single_byte_flip_of_an_adapter_file_is_detected(tmp_path_factory, mask):
+    path = tmp_path_factory.mktemp("flip") / "a.crft"
+    write_craft_adapter(path, _SMALL_ADAPTER)
+    blob = path.read_bytes()
+    for pos in range(len(blob)):
+        corrupted = bytearray(blob)
+        corrupted[pos] ^= mask
+        path.write_bytes(bytes(corrupted))
+        with pytest.raises(FormatError):
+            read_file(path)
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -170,22 +268,6 @@ def test_non_finite_payload_rejected(tmp_path):
         read_file(path)
 
 
-def test_adapter_with_inconsistent_reconstruction_rejected(tmp_path):
-    a = sample_adapter()
-    path = tmp_path / "a.crft"
-    write_craft_adapter(path, a)
-    blob = bytearray(path.read_bytes())
-    # overwrite the first r_initial scalar (second payload block) and re-seal
-    header_len = 4 + 2 + 1 + 1 + 6 * 8
-    w_bytes = a.w_original.size * 8
-    offset = header_len + w_bytes
-    struct.pack_into("<d", blob, offset, 1e6)
-    body = bytes(blob[:-8])
-    path.write_bytes(body + struct.pack("<Q", crc64(body)))
-    with pytest.raises(FormatError, match="inconsistent"):
-        read_file(path)
-
-
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_written_files_follow_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)
@@ -194,6 +276,26 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "t.crft").st_mode & 0o777 == mode
+
+
+def test_temp_file_is_synced_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(serialization.os, "fsync", fsync)
+    monkeypatch.setattr(serialization.os, "replace", replace)
+    path = tmp_path / "t.crft"
+    write_tensor3(path, np.ones((2, 2, 2)))
+    inode = path.stat().st_ino
+    assert events == [("fsync", inode), ("replace", inode)]
 
 
 def test_write_leaves_no_temp_files(tmp_path):

@@ -140,6 +140,13 @@ def test_fold_rejects_inconsistent_dims():
         fold(np.zeros((3, 9)), 2, (2, 3, 4))
 
 
+@pytest.mark.parametrize("dims", [(True, 2, 2), (1.0, 2, 2), (1, 2, np.float64(2.0)),
+                                  (np.nan, 2, 2), (0, 2, 2), (1, 2)])
+def test_fold_rejects_non_integer_dims(dims):
+    with pytest.raises(ValidationError):
+        fold(np.zeros((1, 4)), 1, dims)
+
+
 def test_mode_product_identity_exact():
     rng = np.random.default_rng(4)
     t = rng.standard_normal((3, 4, 5))

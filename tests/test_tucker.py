@@ -175,6 +175,12 @@ def test_compression_counts_trivial():
     assert factor == 1 + 1 + 1 + 1 + 3 == 7
 
 
+@pytest.mark.parametrize("dims", [(2.0, 2, 2), (True, 2, 2), (2, 2, np.nan), (2, 0, 2), (2, 2)])
+def test_compression_counts_rejects_non_integer_dims(dims):
+    with pytest.raises(ValidationError):
+        compression_counts(dims, TuckerRanks(1, 1, 1))
+
+
 def test_compression_counts_rejects_bad_ranks():
     with pytest.raises(RankError):
         compression_counts((2, 2, 2), TuckerRanks(3, 1, 1))
