@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .tensor import fold, frobenius_norm, matrix, mode_n_product, stack_layers, tensor3, unfold
-from .linalg import EigResult, TruncatedSVD, symmetric_eig, truncated_svd
+from .linalg import TruncatedSVD, truncated_svd
 from .tucker import (
     TuckerFactors,
     TuckerRanks,
@@ -65,7 +65,7 @@ __all__ = [
     "FormatError", "ConfigError", "PretrainError", "DivergenceError",
     "tensor3", "matrix", "stack_layers", "unfold", "fold", "mode_n_product",
     "frobenius_norm",
-    "TruncatedSVD", "EigResult", "truncated_svd", "symmetric_eig",
+    "TruncatedSVD", "truncated_svd",
     "TuckerRanks", "TuckerFactors", "hosvd", "reconstruct",
     "approximation_error", "compression_counts",
     "InitConfig", "CraftAdapter", "init_adapter", "adapted_tensor",

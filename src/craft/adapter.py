@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError, is_integer
-from .tucker import TuckerFactors, TuckerRanks, frozen_array, hosvd, reconstruct
-from .tensor import mode_n_product, tensor3
+from .tucker import TuckerFactors, TuckerRanks, hosvd, reconstruct
+from .tensor import frozen_array, mode_n_product, tensor3
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ and storage-savings accounting.
 
 Dispersion pools the raw rows of the Q, K and V matrices of one layer (no
 per-row variance normalization), centers them on the pooled mean, projects
-onto the leading principal components of the pooled sample covariance, and
-reports the root-mean-square projected norm per projection type.
+onto the leading principal components of the pooled sample, and reports the
+root-mean-square projected norm per projection type.  The principal
+directions are the left singular vectors of the transposed centered rows, so
+no covariance matrix is formed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .adapter import trainable_param_count
 from .errors import ValidationError, is_integer
-from .linalg import symmetric_eig
+from .linalg import truncated_svd
 from .tensor import matrix
 from .tucker import TuckerRanks, compression_counts
 
@@ -55,10 +58,12 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
     matrices of a layer must share the column count ``d_in`` and ``k`` must
     not exceed it.
 
-    Two distinct normalizations are at work: the pooled sample covariance
-    uses ``1/(m - 1)`` over the pooled row count, while the reported
-    dispersion is the plain ``1/d_out`` average of squared projected row
-    norms within one projection type.
+    The explained variance ratio is the share of the pooled sample variance
+    captured by the top ``k`` components: the sum of the ``k`` largest
+    squared singular values of the centered rows over their squared
+    Frobenius norm (the sample covariance's ``1/(m - 1)`` cancels).  The
+    reported dispersion is the plain ``1/d_out`` average of squared
+    projected row norms within one projection type.
     """
     if len(layer_weights) == 0:
         raise ValidationError("dispersion requires at least one layer")
@@ -82,22 +87,11 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
         pooled = np.vstack([mats[name] for name in PROJECTIONS])
         mean = pooled.mean(axis=0)
         centered = pooled - mean
-        if np.abs(centered).max() == 0.0:
-            # all rows identical: dispersion zero, ratio defined as zero
-            reports.append(LayerDispersion(
-                layer=idx, k=int(k),
-                sigma={name: 0.0 for name in PROJECTIONS},
-                explained_variance_ratio=0.0,
-                pooled_mean=mean,
-                basis=np.eye(d_in)[:, : int(k)],
-            ))
-            continue
-        cov = centered.T @ centered / (pooled.shape[0] - 1)
-        eig = symmetric_eig(cov)
-        basis = eig.eigenvectors[:, : int(k)]
-        clipped = np.maximum(eig.eigenvalues, 0.0)
-        trace = float(np.sum(clipped))
-        ratio = float(np.sum(clipped[: int(k)]) / trace) if trace > 0.0 else 0.0
+        svd = truncated_svd(centered.T, int(k))
+        basis = svd.left_vectors
+        total = float(np.sum(centered * centered))
+        captured = float(np.sum(svd.singular_values ** 2))
+        ratio = captured / total if total > 0.0 else 0.0
 
         sigma = {}
         for name in PROJECTIONS:
@@ -145,8 +139,7 @@ def method_param_count(
     if method == "lotr":
         return n_projections * (n_layers * lora_rank * lora_rank + lora_rank * (d + d))
     if method == "craft":
-        r1, r2, r3 = craft_ranks.as_tuple()
-        return n_projections * (r1 * r1 + r2 * r2 + r3 * r3)
+        return trainable_param_count(craft_ranks, n_projections)
     raise ValidationError(f"unknown method {method!r}")
 
 

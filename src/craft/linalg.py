@@ -1,15 +1,16 @@
-"""Self-contained truncated SVD and symmetric eigendecomposition.
+"""Self-contained truncated SVD, the package's one spectral solver.
 
-Both solvers are cyclic Jacobi methods written directly on numpy arrays; no
+It is a cyclic Jacobi method written directly on numpy arrays; no
 LAPACK-backed factorization routines are called, so results are bitwise
 deterministic for identical input and carry an explicit convergence error
-when the sweep budget runs out.
+when the sweep budget runs out.  HOSVD applies it to each unfolding, and the
+dispersion analysis to the transposed centered rows of each layer.
 
-``truncated_svd`` only needs left singular vectors (the unfoldings it serves
-are short and fat), so it runs one-sided Jacobi rotations on the columns of
-``m.T``: the accumulated rotations form an exactly orthogonal basis of the
-row space whose columns, sorted by the orthogonalized column norms, are the
-left singular vectors.  The Gram matrix ``m @ m.T`` is never formed.
+``truncated_svd`` only needs left singular vectors (the matrices it serves
+are mostly short and fat), so it runs one-sided Jacobi rotations on the
+columns of ``m.T``: the accumulated rotations form an exactly orthogonal
+basis of the row space whose columns, sorted by the orthogonalized column
+norms, are the left singular vectors.  The Gram matrix ``m @ m.T`` is never formed.
 
 Sign convention for every returned vector: the entry of largest magnitude is
 nonnegative (ties broken by lowest index), so repeated runs and serialized
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, ValidationError, is_integer
+from .errors import ConvergenceError, RankError, is_integer
 from .tensor import matrix
 
 # off-diagonal mass must shrink below OFF_TOL relative to the invariant scale
@@ -37,14 +38,6 @@ class TruncatedSVD:
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """Full spectral decomposition of a symmetric matrix, eigenvalues nonincreasing."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -119,54 +112,3 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     order = np.argsort(-norms, kind="stable")[:r]
     return TruncatedSVD(_fix_signs(u[:, order]), norms[order].copy())
 
-
-def symmetric_eig(a) -> EigResult:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi rotations."""
-    m = matrix(a)
-    n, n2 = m.shape
-    if n != n2:
-        raise ValidationError(f"symmetric_eig needs a square matrix, got {m.shape}")
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > tol:
-        raise ValidationError("symmetric_eig input is not symmetric within 1e-12")
-
-    work = (m + m.T) / 2.0
-    vecs = np.eye(n)
-    norm = float(np.sqrt(np.sum(work * work)))
-    if norm == 0.0:
-        return EigResult(np.zeros(n), vecs)
-
-    off_mask = ~np.eye(n, dtype=bool)
-    converged = False
-    off = norm
-    for _ in range(SWEEP_CAP_FACTOR * n):
-        off = math.sqrt(float(np.sum(work[off_mask] ** 2)))
-        if off <= OFF_TOL * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                c, s = _rotation((work[q, q] - work[p, p]) / (2.0 * apq))
-                col_p = work[:, p].copy()
-                work[:, p] = c * col_p - s * work[:, q]
-                work[:, q] = s * col_p + c * work[:, q]
-                row_p = work[p, :].copy()
-                work[p, :] = c * row_p - s * work[q, :]
-                work[q, :] = s * row_p + c * work[q, :]
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                v_p = vecs[:, p].copy()
-                vecs[:, p] = c * v_p - s * vecs[:, q]
-                vecs[:, q] = s * v_p + c * vecs[:, q]
-    if not converged:
-        raise ConvergenceError(
-            "Jacobi eigendecomposition exhausted its sweep budget",
-            residual=off / norm,
-        )
-
-    values = np.diag(work).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigResult(values[order], _fix_signs(vecs[:, order]))

@@ -32,6 +32,7 @@ import tempfile
 import numpy as np
 
 from .errors import FormatError
+from .tensor import matrix, tensor3
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
@@ -118,15 +119,11 @@ def _write(path, kind: int, extents, blocks) -> None:
 
 
 def write_tensor3(path, t) -> None:
-    from .tensor import tensor3
-
     arr = tensor3(t)
     _write(path, KIND_TENSOR3, arr.shape, [arr])
 
 
 def write_matrix(path, m) -> None:
-    from .tensor import matrix
-
     arr = matrix(m)
     _write(path, KIND_MATRIX, arr.shape, [arr])
 
@@ -170,14 +167,17 @@ def _parse(path):
     if any(e < 1 for e in extents):
         raise FormatError(f"{path}: extents must be >= 1, got {extents}")
 
+    # slices of the view share ``blob``, so the payload is never copied and
+    # the read-only values it backs are shared by the frozen blocks of kinds 3/4
+    view = memoryview(blob)
     stored_crc = struct.unpack_from("<Q", blob, len(blob) - 8)[0]
-    if crc64(blob[:-8]) != stored_crc:
+    if crc64(view[:-8]) != stored_crc:
         raise FormatError(f"{path}: checksum mismatch, file corrupted")
 
-    payload = blob[offset:-8]
+    payload = view[offset:-8]
     if len(payload) % 8 != 0:
         raise FormatError(f"{path}: payload length {len(payload)} not a multiple of 8")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: payload contains non-finite values")
     return version, kind, extents, values
@@ -193,7 +193,8 @@ def _assemble(path, version, kind, extents, values):
         expected = math.prod(extents)
         if values.size != expected:
             raise FormatError(f"{path}: payload size {values.size} != extents product {expected}")
-        return values.reshape(extents)
+        # a read Tensor3 or Matrix is the caller's to modify
+        return values.reshape(extents).copy()
 
     dims, ranks_t = extents[:3], extents[3:]
     if any(r > i for r, i in zip(ranks_t, dims)):
@@ -207,6 +208,12 @@ def _assemble(path, version, kind, extents, values):
     expected = sum(math.prod(s) for s in blocks)
     if values.size != expected:
         raise FormatError(f"{path}: payload size {values.size} != expected {expected}")
+    if kind == KIND_CRAFT_ADAPTER and version == 1:
+        # drop the skipped block, so the blocks sharing the payload do not keep it alive
+        n = math.prod(dims)
+        values = np.delete(values, np.s_[n:2 * n])
+        values.setflags(write=False)
+        blocks.pop(1)
 
     cursor = 0
     arrays = []
@@ -217,7 +224,7 @@ def _assemble(path, version, kind, extents, values):
         if kind == KIND_TUCKER_FACTORS:
             core, u1, u2, u3 = arrays
             return TuckerFactors(core, u1, u2, u3, TuckerRanks(r1, r2, r3))
-        w, *_, core, u1, u2, u3, j1, j2, j3 = arrays
+        w, core, u1, u2, u3, j1, j2, j3 = arrays
         factors = TuckerFactors(core, u1, u2, u3, TuckerRanks(r1, r2, r3))
         return CraftAdapter(w, factors, j1, j2, j3)
     except Exception as err:

@@ -54,6 +54,21 @@ def matrix(data) -> np.ndarray:
     return _as_finite_float(data, 2, "matrix")
 
 
+def frozen_array(data, ndim: int, what: str) -> np.ndarray:
+    """Validated float64 array with the write flag cleared; shares already-frozen input."""
+    already_frozen = (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.flags["C_CONTIGUOUS"]
+        and not data.flags.writeable
+    )
+    # share already-frozen buffers so update steps keep the originals by reference
+    arr = data if already_frozen else np.array(data, dtype=np.float64, order="C")
+    arr = _as_finite_float(arr, ndim, what)
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_mode(mode: int) -> None:
     if mode not in (1, 2, 3):
         raise ValidationError(f"mode must be 1, 2 or 3, got {mode!r}")

@@ -15,29 +15,9 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError, ValidationError, is_integer
 from .linalg import truncated_svd
-from .tensor import frobenius_norm, mode_n_product, tensor3, unfold
+from .tensor import frobenius_norm, frozen_array, mode_n_product, tensor3, unfold
 
 ORTHONORMALITY_TOL = 1e-10
-
-
-def frozen_array(data, ndim: int, what: str) -> np.ndarray:
-    """Validated float64 array with the write flag cleared; shares already-frozen input."""
-    already_frozen = (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.float64
-        and data.flags["C_CONTIGUOUS"]
-        and not data.flags.writeable
-    )
-    # share already-frozen buffers so update steps keep the originals by reference
-    arr = data if already_frozen else np.array(data, dtype=np.float64, order="C")
-    if arr.ndim != ndim:
-        raise ValidationError(f"{what} must have {ndim} dimensions, got {arr.ndim}")
-    if arr.size == 0:
-        raise ValidationError(f"{what} must have all extents >= 1")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_orthonormal(u: np.ndarray, what: str) -> None:

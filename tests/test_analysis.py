@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from craft.analysis import (
     dispersion,
@@ -62,6 +64,31 @@ def test_full_path_matches_independent_eigensolver():
     assert vals[::-1][1] - vals[::-1][2] > 1e-6  # spectral gap
     for name in ("Q", "K", "V"):
         oracle = brute_force_sigma(mats[name], basis, mean)
+        assert abs(layer.sigma[name] - oracle) <= 1e-10 * max(oracle, 1.0)
+
+
+@given(d_out=st.integers(1, 6), d_in=st.integers(1, 20), k=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(d_out=1, d_in=9, k=9, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_dispersion_matches_covariance_oracle(d_out, d_in, k, seed):
+    # k is clipped to d_in, so k == d_in (full rank) is drawn often; d_in > 3 * d_out
+    # gives tall, rank-deficient pooled samples
+    k = min(k, d_in)
+    rng = np.random.default_rng(seed)
+    mats = {name: rng.standard_normal((d_out, d_in)) for name in ("Q", "K", "V")}
+    layer = dispersion([mats], k=k).layers[0]
+
+    pooled = np.vstack([mats[n] for n in ("Q", "K", "V")])
+    centered = pooled - pooled.mean(axis=0)
+    cov = centered.T @ centered / (pooled.shape[0] - 1)
+    vals = np.maximum(np.linalg.eigvalsh(cov)[::-1], 0.0)
+    oracle_ratio = float(np.sum(vals[:k]) / np.sum(vals)) if np.sum(vals) > 0 else 0.0
+    assert abs(layer.explained_variance_ratio - oracle_ratio) <= 1e-10
+    gram = layer.basis.T @ layer.basis
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+    for name in ("Q", "K", "V"):
+        oracle = brute_force_sigma(mats[name], layer.basis, layer.pooled_mean)
         assert abs(layer.sigma[name] - oracle) <= 1e-10 * max(oracle, 1.0)
 
 

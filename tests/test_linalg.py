@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from craft.errors import RankError, ValidationError
-from craft.linalg import symmetric_eig, truncated_svd
+from craft.errors import RankError
+from craft.linalg import truncated_svd
 
 
 def test_svd_diagonal():
@@ -111,60 +111,3 @@ def test_svd_rejects_r_out_of_range(r):
     with pytest.raises(RankError):
         truncated_svd(np.zeros((4, 6)), r)
 
-
-def test_eig_identity():
-    res = symmetric_eig(np.eye(3))
-    np.testing.assert_array_equal(res.eigenvalues, np.ones(3))
-    np.testing.assert_allclose(res.eigenvectors, np.eye(3), atol=1e-15)
-
-
-def test_eig_diagonal():
-    res = symmetric_eig(np.diag([5.0, 2.0]))
-    np.testing.assert_array_equal(res.eigenvalues, [5.0, 2.0])
-    np.testing.assert_allclose(np.abs(res.eigenvectors), np.eye(2), atol=1e-15)
-
-
-def test_eig_random_symmetric_residual_and_trace():
-    rng = np.random.default_rng(7)
-    for _ in range(15):
-        n = int(rng.integers(1, 9))
-        b = rng.standard_normal((n, n))
-        a = b + b.T
-        res = symmetric_eig(a)
-        scale = np.linalg.norm(a)
-        for i in range(n):
-            resid = np.linalg.norm(a @ res.eigenvectors[:, i]
-                                   - res.eigenvalues[i] * res.eigenvectors[:, i])
-            assert resid <= 1e-8 * max(scale, 1.0)
-        assert abs(np.trace(a) - np.sum(res.eigenvalues)) <= 1e-10 * max(scale, 1.0)
-        assert np.all(np.diff(res.eigenvalues) <= 1e-12)
-
-
-def test_eig_matches_lapack_oracle():
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((5, 5))
-    a = b + b.T
-    res = symmetric_eig(a)
-    oracle = np.linalg.eigvalsh(a)[::-1]
-    np.testing.assert_allclose(res.eigenvalues, oracle, rtol=1e-10, atol=1e-12)
-
-
-def test_eig_rejects_asymmetric():
-    a = np.array([[1.0, 2.0], [2.1, 1.0]])
-    with pytest.raises(ValidationError):
-        symmetric_eig(a)
-
-
-def test_eig_rejects_nonsquare():
-    with pytest.raises(ValidationError):
-        symmetric_eig(np.zeros((2, 3)))
-
-
-def test_eig_deterministic_bitwise():
-    rng = np.random.default_rng(9)
-    b = rng.standard_normal((6, 6))
-    a = b + b.T
-    r1 = symmetric_eig(a)
-    r2 = symmetric_eig(a.copy())
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.eigenvectors, r2.eigenvectors)

@@ -103,6 +103,30 @@ def test_adapter_round_trip_bitwise(tmp_path):
     assert isinstance(read_file(path), CraftAdapter)
 
 
+@pytest.mark.parametrize("version", [2, 1])
+def test_read_adapter_blocks_share_one_read_only_buffer(tmp_path, version):
+    a = sample_adapter()
+    path = tmp_path / "a.crft"
+    if version == 2:
+        write_craft_adapter(path, a)
+    else:
+        path.write_bytes(v1_adapter_bytes(a, reconstruct(a.factors)))
+    blocks = adapter_blocks(read_craft_adapter(path))
+    assert not any(b.flags.writeable for b in blocks)
+    # consecutive slices of one buffer: no per-block copies, and no skipped
+    # version-1 block kept alive between them
+    for prev, nxt in zip(blocks, blocks[1:]):
+        assert nxt.ctypes.data == prev.ctypes.data + prev.nbytes
+
+
+def test_read_tensor_and_matrix_are_writable(tmp_path):
+    write_tensor3(tmp_path / "t.crft", np.ones((2, 3, 4)))
+    write_matrix(tmp_path / "m.crft", np.ones((3, 4)))
+    for arr in (read_tensor3(tmp_path / "t.crft"), read_matrix(tmp_path / "m.crft")):
+        arr[...] = 5.0
+        assert (arr == 5.0).all()
+
+
 def test_adapter_file_holds_no_initial_reconstruction(tmp_path):
     a = sample_adapter()
     path = tmp_path / "a.crft"
