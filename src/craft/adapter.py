@@ -95,14 +95,13 @@ def init_adapter(w, ranks: TuckerRanks, cfg: InitConfig) -> CraftAdapter:
     then ``j2``, ``j3``.  With ``cfg.epsilon == 0`` every ``jN`` is exactly
     the identity.
     """
-    arr = tensor3(w)
-    factors = hosvd(arr, ranks)
+    factors = hosvd(w, ranks)
     rng = np.random.default_rng(cfg.seed)
     js = []
     for r in ranks.as_tuple():
         noise = cfg.sigma * rng.standard_normal((r, r))
         js.append(np.eye(r) + cfg.epsilon * noise)
-    return CraftAdapter(arr, factors, *js)
+    return CraftAdapter(w, factors, *js)
 
 
 def adapted_tensor(a: CraftAdapter) -> np.ndarray:

@@ -35,15 +35,6 @@ class LayerDispersion:
     pooled_mean: np.ndarray
     basis: np.ndarray  # (d_in, k), orthonormal columns
 
-    def __post_init__(self):
-        for name, value in self.sigma.items():
-            if value < 0:
-                raise ValidationError(f"sigma[{name}] must be >= 0, got {value}")
-        if not 0.0 <= self.explained_variance_ratio <= 1.0 + 1e-12:
-            raise ValidationError(
-                f"explained_variance_ratio out of [0, 1]: {self.explained_variance_ratio}"
-            )
-
 
 @dataclass(frozen=True)
 class DispersionReport:
@@ -190,13 +181,13 @@ class StorageReport:
     factor_total: int
     ratio: float
     saves_storage: bool
-    # deployment-time accounting only: during training the original tensor is
-    # additionally held as a frozen buffer
-    training_note: str = "training additionally holds the original tensor as a frozen buffer"
 
 
 def storage_report(dims, ranks: TuckerRanks, n_projections: int = 2) -> StorageReport:
-    """Dense vs. decomposed parameter counts, totalled over projection types."""
+    """Dense vs. decomposed parameter counts, totalled over projection types.
+
+    A deployment-time figure: training also holds the original tensor.
+    """
     if not is_integer(n_projections) or n_projections < 1:
         raise ValidationError(f"n_projections must be positive, got {n_projections!r}")
     dense, factor = compression_counts(dims, ranks)

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .tensor import stack_layers
 from .toy import (
-    SyntheticTask,
-    ToyConfig,
     build_adapters,
     craft_finetune,
     evaluate,
@@ -131,37 +129,24 @@ def _cmd_train_toy(args) -> int:
     model_dir = os.path.join(args.out_dir, "model")
     os.makedirs(model_dir, exist_ok=True)
 
-    toy_cfg = ToyConfig(
-        n_layers=cfg.n_layers, d_model=cfg.d_model, vocab_size=cfg.vocab_size,
-        seq_len=cfg.seq_len, n_classes=cfg.n_classes, seed=cfg.seed,
-    )
-    task_a = SyntheticTask(
-        rule="majority", seed=cfg.seed,
-        train_size=cfg.train_size, eval_size=cfg.eval_size,
-    )
     model = pretrain(
-        toy_cfg, task_a, eta=cfg.pretrain_eta, max_steps=cfg.pretrain_steps,
-        target_acc=cfg.pretrain_target,
-    )
-
-    task_b = SyntheticTask(
-        rule=cfg.finetune_task, seed=cfg.seed,
-        train_size=cfg.train_size, eval_size=cfg.eval_size,
+        cfg.toy, cfg.pretraining, eta=cfg.pretrain_eta,
+        max_steps=cfg.pretrain_steps, target_acc=cfg.pretrain_target,
     )
     adapters = build_adapters(
         model, cfg.ranks, epsilon=cfg.epsilon, sigma=cfg.sigma,
         projections=cfg.projections,
     )
     tuned, craft_losses = craft_finetune(
-        model, adapters, task_b, eta=cfg.eta, steps=cfg.steps,
+        model, adapters, cfg.finetuning, eta=cfg.eta, steps=cfg.steps,
         head_eta=cfg.effective_head_eta,
     )
     baseline, baseline_losses = head_only_finetune(
-        model, task_b, eta=cfg.effective_head_eta, steps=cfg.steps,
+        model, cfg.finetuning, eta=cfg.effective_head_eta, steps=cfg.steps,
     )
 
-    eval_a = make_dataset(task_a, toy_cfg, "eval")
-    eval_b = make_dataset(task_b, toy_cfg, "eval")
+    eval_a = make_dataset(cfg.pretraining, cfg.toy, "eval")
+    eval_b = make_dataset(cfg.finetuning, cfg.toy, "eval")
     pretrain_acc_a = evaluate(model, *eval_a)
     pretrain_acc_b = evaluate(model, *eval_b)
     craft_acc = evaluate(tuned, *eval_b)

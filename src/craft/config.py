@@ -2,21 +2,24 @@
 
 Lines are ``key=value``; blank lines and lines starting with ``#`` are
 ignored.  Unknown keys and out-of-range values are rejected eagerly at parse
-time, including cross-field constraints (ranks against the toy-model
-extents).  The full key table lives in docs/FORMATS.md.
+time.  ``RunConfig`` builds the toy model config, the two tasks and the
+Tucker ranks once, so their own validators check the model, task and rank
+constraints (ranks against the toy-model extents included); any failure is
+reported as a :class:`ConfigError`.  The full key table lives in
+docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, is_integer
-from .toy import TASK_RULES
+from .errors import ConfigError, CraftError, is_integer
+from .toy import SyntheticTask, ToyConfig
 from .tucker import TuckerRanks
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     r1: int = 4
     r2: int = 8
@@ -39,89 +42,78 @@ class RunConfig:
     pretrain_target: float = 0.9
     finetune_task: str = "majority_flip"
     projections: tuple = ("Q", "V")
+    # built from the fields above in __post_init__; not config keys
+    toy: ToyConfig = field(init=False, repr=False, compare=False)
+    pretraining: SyntheticTask = field(init=False, repr=False, compare=False)
+    finetuning: SyntheticTask = field(init=False, repr=False, compare=False)
+    ranks: TuckerRanks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # ToyConfig comes first, so a bad extent is named before any rank
+        try:
+            object.__setattr__(self, "toy", ToyConfig(
+                n_layers=self.n_layers, d_model=self.d_model,
+                vocab_size=self.vocab_size, seq_len=self.seq_len,
+                n_classes=self.n_classes, seed=self.seed,
+            ))
+            object.__setattr__(self, "pretraining", SyntheticTask(
+                rule="majority", seed=self.seed,
+                train_size=self.train_size, eval_size=self.eval_size,
+            ))
+            object.__setattr__(self, "finetuning", SyntheticTask(
+                rule=self.finetune_task, seed=self.seed,
+                train_size=self.train_size, eval_size=self.eval_size,
+            ))
+            object.__setattr__(self, "ranks", TuckerRanks(self.r1, self.r2, self.r3))
+            self.ranks.validate_for((self.n_layers, self.d_model, self.d_model))
+        except CraftError as err:
+            raise ConfigError(str(err)) from err
         _validate(self)
-
-    @property
-    def ranks(self) -> TuckerRanks:
-        return TuckerRanks(self.r1, self.r2, self.r3)
 
     @property
     def effective_head_eta(self) -> float:
         return self.eta if self.head_eta is None else self.head_eta
 
 
-_POSITIVE_INTS = (
-    "r1", "r2", "r3", "n_layers", "d_model", "vocab_size",
-    "seq_len", "n_classes", "train_size", "eval_size", "pretrain_steps",
-)
-_NONNEGATIVE_FLOATS = ("epsilon", "sigma")
-_FINITE_FLOATS = ("eta", "pretrain_eta")
-
-
 def _validate(cfg: RunConfig) -> None:
-    for name in _POSITIVE_INTS:
-        v = getattr(cfg, name)
-        if not is_integer(v) or v < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    """The checks no type built in ``RunConfig.__post_init__`` makes."""
     # steps=0 is allowed: it freezes the adaptation for preservation checks
-    for name in ("seed", "steps"):
+    for name, low in (("steps", 0), ("pretrain_steps", 1)):
         v = getattr(cfg, name)
-        if not is_integer(v) or v < 0:
-            raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
-    for name in _NONNEGATIVE_FLOATS:
+        if not is_integer(v) or v < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
+    for name in ("epsilon", "sigma"):
         v = getattr(cfg, name)
         if not math.isfinite(v) or v < 0:
             raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}")
-    for name in _FINITE_FLOATS:
+    for name in ("eta", "head_eta", "pretrain_eta"):
         v = getattr(cfg, name)
-        if not math.isfinite(v):
+        if v is not None and not math.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {v!r}")
-    if cfg.head_eta is not None and not math.isfinite(cfg.head_eta):
-        raise ConfigError(f"head_eta must be finite, got {cfg.head_eta!r}")
     if not 0.0 < cfg.pretrain_target <= 1.0:
         raise ConfigError(f"pretrain_target must be in (0, 1], got {cfg.pretrain_target!r}")
-    if cfg.d_model % 2 != 0:
-        raise ConfigError(f"d_model must be even, got {cfg.d_model}")
     if cfg.vocab_size % 2 != 0:
         raise ConfigError(f"vocab_size must be even for the majority task, got {cfg.vocab_size}")
-    if cfg.finetune_task not in TASK_RULES:
-        raise ConfigError(f"finetune_task must be one of {TASK_RULES}, got {cfg.finetune_task!r}")
     if len(cfg.projections) == 0 or any(p not in ("Q", "V") for p in cfg.projections):
         raise ConfigError(f"projections must be a nonempty subset of Q,V, got {cfg.projections!r}")
     if len(set(cfg.projections)) != len(cfg.projections):
         raise ConfigError(f"projections contains duplicates: {cfg.projections!r}")
-    # cross-field: ranks must be valid for the stacked (n_layers, d, d) tensors
-    if cfg.r1 > cfg.n_layers:
-        raise ConfigError(f"r1={cfg.r1} exceeds n_layers={cfg.n_layers}")
-    if cfg.r2 > cfg.d_model:
-        raise ConfigError(f"r2={cfg.r2} exceeds d_model={cfg.d_model}")
-    if cfg.r3 > cfg.d_model:
-        raise ConfigError(f"r3={cfg.r3} exceeds d_model={cfg.d_model}")
 
 
-def _parse_value(name: str, raw: str, kind):
+# config key -> its field annotation ("int", "float", "float | None", "str", "tuple")
+_FIELD_KINDS = {f.name: f.type for f in fields(RunConfig) if f.init}
+
+
+def _parse_value(name: str, raw: str, kind: str):
+    if kind == "tuple":
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
+    if kind == "str":
+        return raw
+    number = int if kind == "int" else float
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return number(raw)
     except ValueError as err:
-        raise ConfigError(f"cannot parse {name}={raw!r} as {kind}") from err
-    return raw
-
-
-_FIELD_KINDS = {}
-for f in fields(RunConfig):
-    if f.name == "projections":
-        _FIELD_KINDS[f.name] = "projections"
-    elif f.name == "finetune_task":
-        _FIELD_KINDS[f.name] = "str"
-    elif f.name in _POSITIVE_INTS or f.name in ("seed", "steps"):
-        _FIELD_KINDS[f.name] = "int"
-    else:
-        _FIELD_KINDS[f.name] = "float"
+        raise ConfigError(f"cannot parse {name}={raw!r} as {number.__name__}") from err
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
@@ -135,17 +127,11 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in _FIELD_KINDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in overrides:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if key == "projections":
-            overrides[key] = tuple(p.strip() for p in raw.split(",") if p.strip())
-        elif _FIELD_KINDS[key] == "str":
-            overrides[key] = raw
-        else:
-            overrides[key] = _parse_value(key, raw, _FIELD_KINDS[key])
+        overrides[key] = _parse_value(key, raw.strip(), _FIELD_KINDS[key])
     return RunConfig(**overrides)
 
 

@@ -164,18 +164,31 @@ class ToyModel:
         return h.hexdigest()
 
 
-def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
-    arr = np.asarray(tokens)
-    if arr.ndim != 2 or arr.shape[1] != model.cfg.seq_len:
+def _check_ids(arr: np.ndarray, what: str, high: int) -> np.ndarray:
+    """``arr`` as int64 after checking it holds integers in ``[0, high)``."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= high:
         raise ValidationError(
-            f"tokens must have shape (batch, {model.cfg.seq_len}), got {arr.shape}"
-        )
-    if arr.min() < 0 or arr.max() >= model.cfg.vocab_size:
-        raise ValidationError(
-            f"token ids must lie in [0, {model.cfg.vocab_size}), got range "
-            f"[{arr.min()}, {arr.max()}]"
+            f"{what} must lie in [0, {high}), got range [{arr.min()}, {arr.max()}]"
         )
     return arr.astype(np.int64)
+
+
+def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
+    arr = np.asarray(tokens)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != model.cfg.seq_len:
+        raise ValidationError(
+            f"tokens must have shape (batch >= 1, {model.cfg.seq_len}), got {arr.shape}"
+        )
+    return _check_ids(arr, "token ids", model.cfg.vocab_size)
+
+
+def _check_labels(model: ToyModel, labels, batch: int) -> np.ndarray:
+    arr = np.asarray(labels)
+    if arr.shape != (batch,):
+        raise ValidationError(f"labels must have shape ({batch},), got {arr.shape}")
+    return _check_ids(arr, "labels", model.cfg.n_classes)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -239,9 +252,8 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
     ``wv`` (shape ``(n_layers, d, d)``); in craft-adapt mode these are the
     upstream tensors to feed :func:`craft.adapter.grad_j`.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     logits, cache = forward(model, tokens, want_cache=True)
-    loss, dlogits = cross_entropy(logits, labels)
+    loss, dlogits = cross_entropy(logits, _check_labels(model, labels, len(logits)))
 
     pooled = cache["pooled"]
     g = {
@@ -284,7 +296,7 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
 def evaluate(model: ToyModel, tokens, labels) -> float:
     logits = forward(model, tokens)
     preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return float(np.mean(preds == _check_labels(model, labels, len(logits))))
 
 
 def _derived_seeds(seed: int) -> dict[str, int]:
@@ -314,10 +326,7 @@ def pretrain(
     losses = []
     acc = 0.0
     for step in range(max_steps):
-        try:
-            loss, g = loss_and_grads(model, tokens, labels)
-        except ValidationError as err:
-            raise DivergenceError(f"pretraining overflowed: {err}", step=step) from err
+        loss, g = loss_and_grads(model, tokens, labels)
         if not np.isfinite(loss):
             raise DivergenceError("pretraining loss became non-finite", step=step)
         losses.append(loss)

@@ -88,10 +88,6 @@ class TuckerFactors:
         """Extents of the tensor this decomposition reconstructs to."""
         return (self.u1.shape[0], self.u2.shape[0], self.u3.shape[0])
 
-    @property
-    def frozen(self) -> bool:
-        return True
-
 
 def expand(core, a1, a2, a3) -> np.ndarray:
     """Multiply ``core`` by a matrix along every mode, in mode order 1, 2, 3.

@@ -195,9 +195,15 @@ def test_train_toy_epsilon_zero_zero_steps_preserves_metrics(tmp_path):
                - float(summary["pretrain_acc_on_finetune_task"])) <= 1e-10
 
 
-def test_train_toy_bad_config_exits_2(tmp_path):
+@pytest.mark.parametrize("line", [
+    "r1=100",               # rank above n_layers (TuckerRanks.validate_for)
+    "r2=64",                # rank above d_model (TuckerRanks.validate_for)
+    "d_model=7",            # odd model width (ToyConfig)
+    "finetune_task=x",      # unknown task rule (SyntheticTask)
+])
+def test_train_toy_bad_config_exits_2(tmp_path, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("r1=100\n")
+    cfg.write_text(line + "\n")
     assert main(["train-toy", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "out")]) == 2
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from craft.config import RunConfig, load_run_config, parse_run_config
 from craft.errors import ConfigError
+from craft.toy import SyntheticTask, ToyConfig
+from craft.tucker import TuckerRanks
 
 
 def test_defaults_are_valid():
@@ -76,6 +80,11 @@ def test_duplicate_key_rejected():
     "projections=Q,K",
     "projections=Q,Q",
     "finetune_task=unknown",
+    "n_layers=0",
+    "seq_len=0",
+    "n_classes=0",
+    "train_size=0",
+    "eval_size=0",
 ])
 def test_range_violations_rejected(text):
     with pytest.raises(ConfigError):
@@ -101,3 +110,52 @@ def test_cross_field_rank_checks_follow_overrides():
     assert cfg.r1 == 8
     with pytest.raises(ConfigError):
         parse_run_config("n_layers=2\nr1=3\n")
+
+
+_ALL_KEYS_TEXT = """
+r1=4
+r2=8
+r3=8
+epsilon=0.01
+sigma=0.02
+seed=0
+eta=0.1
+head_eta=0.1
+steps=120
+n_layers=4
+d_model=32
+vocab_size=16
+seq_len=12
+n_classes=2
+train_size=256
+eval_size=512
+pretrain_eta=0.05
+pretrain_steps=400
+pretrain_target=0.9
+finetune_task=majority_flip
+projections=Q,V
+"""
+
+
+def test_config_accepts_exactly_the_input_keys():
+    assert len(_ALL_KEYS_TEXT.split()) == 21
+    assert parse_run_config(_ALL_KEYS_TEXT) == RunConfig(head_eta=0.1)
+    # the objects RunConfig builds from its fields are not keys
+    for derived in ("toy", "pretraining", "finetuning", "ranks"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_run_config(f"{derived}=1")
+
+
+def test_model_extent_is_reported_before_ranks():
+    with pytest.raises(ConfigError, match="n_layers"):
+        parse_run_config("n_layers=0\nr1=1\n")
+
+
+def test_built_objects_follow_the_fields():
+    cfg = parse_run_config("seed=5\nn_layers=3\nr1=3\ntrain_size=64\nfinetune_task=majority\n")
+    assert cfg.toy == ToyConfig(n_layers=3, seed=5)
+    assert cfg.pretraining == SyntheticTask("majority", 5, 64, 512)
+    assert cfg.finetuning == SyntheticTask("majority", 5, 64, 512)
+    assert cfg.ranks == TuckerRanks(3, 8, 8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1

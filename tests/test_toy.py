@@ -90,6 +90,43 @@ def test_forward_rejects_out_of_vocab_and_bad_shape():
         forward(m, np.zeros((2, SMALL_CFG.seq_len + 1), dtype=int))
 
 
+_ZERO_TOKENS = np.zeros((2, SMALL_CFG.seq_len), dtype=np.int64)
+_BAD_TOKENS = {
+    "fractional": [[0.5, 1.9, 2.2, 0.0, 1.0]] * 2,
+    "bool": np.ones((2, SMALL_CFG.seq_len), dtype=bool),
+    "empty_batch": np.zeros((0, SMALL_CFG.seq_len), dtype=np.int64),
+}
+_BAD_LABELS = {
+    "negative": [-1, 0],
+    "too_large": [0, SMALL_CFG.n_classes],
+    "short": [0],
+    "long": [0, 1, 0],
+    "float": [0.0, 1.0],
+    "bool": [False, True],
+}
+_CALLS = {
+    "forward": lambda m, t, l: forward(m, t),
+    "loss_and_grads": loss_and_grads,
+    "evaluate": evaluate,
+}
+
+
+@pytest.mark.parametrize("call", _CALLS)
+@pytest.mark.parametrize("case", _BAD_TOKENS)
+def test_bad_token_ids_rejected(call, case):
+    tokens = _BAD_TOKENS[case]
+    labels = np.zeros(len(tokens), dtype=np.int64)
+    with pytest.raises(ValidationError):
+        _CALLS[call](small_model(), tokens, labels)
+
+
+@pytest.mark.parametrize("call", ["loss_and_grads", "evaluate"])
+@pytest.mark.parametrize("case", _BAD_LABELS)
+def test_bad_labels_rejected(call, case):
+    with pytest.raises(ValidationError):
+        _CALLS[call](small_model(), _ZERO_TOKENS, _BAD_LABELS[case])
+
+
 def test_untrained_model_is_exactly_chance():
     # zero head => identical logits => constant prediction on balanced labels
     m = small_model()
