@@ -1,19 +1,17 @@
 """Residual-preserving cross-layer adapters.
 
-An adapter bundles a stacked weight tensor ``w_original``, its frozen Tucker
+An adapter bundles a stacked weight tensor ``w``, its frozen Tucker
 decomposition ``(core, u1, u2, u3)`` and three small square trainable
-matrices ``j1, j2, j3``.  The adapted tensor is ``w_original + delta``, where
-``delta = expand(core, u1 j1, u2 j2, u3 j3) - expand(core, u1, u2, u3)`` is
-evaluated as a telescoped sum in ``dN = jN - I``::
+matrices ``j1, j2, j3``.  The adapted tensor ``w + core x1 u1 j1 x2 u2 j2
+x3 u3 j3 - core x1 u1 x2 u2 x3 u3`` is applied through one per-layer core::
 
-    delta = core x1 u1 d1 x2 u2 j2 x3 u3 j3
-          + core x1 u1    x2 u2 d2 x3 u3 j3
-          + core x1 u1    x2 u2    x3 u3 d3
+    m = core x1 u1 j1,  m0 = core x1 u1          (both L x r2 x r3)
+    k[l] = j2 @ m[l] @ j3.T - m0[l]
+    adapted[l] = w[l] + u2 @ k[l] @ u3.T
 
-At ``jN = I`` every ``dN`` is exactly zero, so the adapted tensor is
-``w_original`` bit for bit however lossy the truncation was, and no dense
-copy of the initial reconstruction is kept.
-
+At ``jN = I`` the products ``u1 @ I`` and ``I @ m[l] @ I`` are exact in
+floating point, so ``k`` is exactly zero and the adapted tensor is ``w`` bit
+for bit however lossy the truncation was; no dense reconstruction is kept.
 Only the ``jN`` matrices ever change; updates return a new adapter that
 shares the frozen (read-only) buffers of the old one.
 """
@@ -25,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, is_integer
-from .tucker import TuckerFactors, TuckerRanks, hosvd, reconstruct
+from .errors import DivergenceError, ValidationError, is_finite_real, is_integer
+from .tucker import TuckerFactors, TuckerRanks, expand, hosvd, reconstruct
 from .tensor import frozen_array, mode_n_product, tensor3
 
 
@@ -39,10 +37,10 @@ class InitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
+        for name in ("epsilon", "sigma"):
+            v = getattr(self, name)
+            if not is_finite_real(v) or v < 0:
+                raise ValidationError(f"{name} must be a finite real >= 0, got {v!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -104,61 +102,57 @@ def init_adapter(w, ranks: TuckerRanks, cfg: InitConfig) -> CraftAdapter:
     return CraftAdapter(w, factors, *js)
 
 
-def adapted_tensor(a: CraftAdapter) -> np.ndarray:
-    """Current adapted weight tensor ``w + delta`` (see the module docstring)."""
+def _core(a: CraftAdapter) -> np.ndarray:
+    """Per-layer core ``k[l] = j2 @ m[l] @ j3.T - m0[l]`` (see the module docstring)."""
     f = a.factors
-    d1, d2, d3 = (j - np.eye(len(j)) for j in a.j_matrices)
-    g1 = mode_n_product(f.core, f.u1, 1)
-    # the first two terms share their mode-3 factor u3 @ j3
-    head = mode_n_product(mode_n_product(f.core, f.u1 @ d1, 1), f.u2 @ a.j2, 2)
-    head += mode_n_product(g1, f.u2 @ d2, 2)
-    delta = mode_n_product(head, f.u3 @ a.j3, 3)
-    delta += mode_n_product(mode_n_product(g1, f.u2, 2), f.u3 @ d3, 3)
-    return a.w_original + delta
+    return expand(f.core, f.u1 @ a.j1, a.j2, a.j3) - mode_n_product(f.core, f.u1, 1)
+
+
+def adapted_tensor(a: CraftAdapter) -> np.ndarray:
+    """Current adapted weight tensor ``w[l] + u2 @ k[l] @ u3.T`` for every layer."""
+    f = a.factors
+    # one GEMM pair per layer, the same calls extract_layer makes
+    out = f.u2 @ _core(a) @ f.u3.T
+    out += a.w_original
+    return out
 
 
 def extract_layer(a: CraftAdapter, layer: int) -> np.ndarray:
-    """Per-layer adapted weight matrix; ``layer`` is 1-based in ``[1, n_layers]``."""
+    """Adapted matrix of one layer (1-based), bitwise ``adapted_tensor(a)[layer - 1]``."""
     n_layers = a.dims[0]
     if not is_integer(layer) or not 1 <= layer <= n_layers:
         raise ValidationError(f"layer must be in [1, {n_layers}], got {layer!r}")
-    return adapted_tensor(a)[layer - 1].copy()
+    f = a.factors
+    return f.u2 @ _core(a)[layer - 1] @ f.u3.T + a.w_original[layer - 1]
 
 
 def grad_j(a: CraftAdapter, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``<upstream, adapted_tensor(a)>`` with respect to each ``jN``.
 
-    Only the expanded term depends on ``jN``.  Writing the expansion as a
-    mode-n product of the partially expanded core ``h_n`` (core multiplied by
-    the adapted factors on the other two modes) gives
+    With ``g[l] = u2.T @ upstream[l] @ u3`` the objective is
+    ``sum_l <g[l], k[l]>`` (module docstring), and ``j1`` enters only through ``m``::
 
-        unfold(t, n) = (uN @ jN) @ unfold(h_n, n)
-
-    hence ``gN = uN.T @ unfold(upstream, n) @ unfold(h_n, n).T``; the inner
-    product is a contraction of ``upstream`` and ``h_n`` over the two modes
-    other than ``n``.  Validated against central finite differences in the
-    test suite.
+        g1 = u1.T @ d1,  d1[l, a] = <j2.T @ g[l] @ j3, core[a]>
+        g2 = sum_l g[l] @ j3 @ m[l].T
+        g3 = sum_l g[l].T @ j2 @ m[l]
     """
     up = tensor3(upstream)
     if up.shape != a.dims:
         raise ValidationError(f"upstream dims {up.shape} != adapter dims {a.dims}")
-    adapted = [u @ j for u, j in zip(a.factors.factor_matrices, a.j_matrices)]
-    grads = []
-    for n in (1, 2, 3):
-        others = [m for m in (1, 2, 3) if m != n]
-        h = a.factors.core
-        for m in others:
-            h = mode_n_product(h, adapted[m - 1], m)
-        axes = [m - 1 for m in others]
-        u_n = a.factors.factor_matrices[n - 1]
-        grads.append(u_n.T @ np.tensordot(up, h, axes=(axes, axes)))
-    return tuple(grads)
+    f = a.factors
+    m = mode_n_product(f.core, f.u1 @ a.j1, 1)
+    g = f.u2.T @ up @ f.u3
+    j2t_g = mode_n_product(g, a.j2.T, 2)
+    g2 = np.tensordot(mode_n_product(g, a.j3.T, 3), m, axes=([0, 2], [0, 2]))
+    g3 = np.tensordot(j2t_g, m, axes=([0, 1], [0, 1]))
+    d1 = np.tensordot(mode_n_product(j2t_g, a.j3.T, 3), f.core, axes=([1, 2], [1, 2]))
+    return f.u1.T @ d1, g2, g3
 
 
 def sgd_step(a: CraftAdapter, grads, eta: float) -> CraftAdapter:
     """One plain gradient step on the ``jN`` matrices; frozen buffers are shared."""
-    if not np.isfinite(eta):
-        raise ValidationError(f"eta must be finite, got {eta!r}")
+    if not is_finite_real(eta):
+        raise ValidationError(f"eta must be a finite real, got {eta!r}")
     if len(grads) != 3:
         raise ValidationError(f"expected three gradient matrices, got {len(grads)}")
     new_js = {}

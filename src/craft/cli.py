@@ -145,9 +145,7 @@ def _cmd_train_toy(args) -> int:
         model, cfg.finetuning, eta=cfg.effective_head_eta, steps=cfg.steps,
     )
 
-    eval_a = make_dataset(cfg.pretraining, cfg.toy, "eval")
     eval_b = make_dataset(cfg.finetuning, cfg.toy, "eval")
-    pretrain_acc_a = evaluate(model, *eval_a)
     pretrain_acc_b = evaluate(model, *eval_b)
     craft_acc = evaluate(tuned, *eval_b)
     baseline_acc = evaluate(baseline, *eval_b)
@@ -184,7 +182,7 @@ def _cmd_train_toy(args) -> int:
         f"classifier_head_params={head_params}",
         f"total_trainable_params={tucker_params + head_params}",
         f"pretrain_steps={len(model.pretrain_losses)}",
-        f"pretrain_eval_acc={_fmt(pretrain_acc_a)}",
+        f"pretrain_eval_acc={_fmt(model.pretrain_eval_acc)}",
         f"pretrain_acc_on_finetune_task={_fmt(pretrain_acc_b)}",
         f"craft_eval_acc={_fmt(craft_acc)}",
         f"head_only_eval_acc={_fmt(baseline_acc)}",

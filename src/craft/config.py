@@ -2,19 +2,20 @@
 
 Lines are ``key=value``; blank lines and lines starting with ``#`` are
 ignored.  Unknown keys and out-of-range values are rejected eagerly at parse
-time.  ``RunConfig`` builds the toy model config, the two tasks and the
-Tucker ranks once, so their own validators check the model, task and rank
-constraints (ranks against the toy-model extents included); any failure is
-reported as a :class:`ConfigError`.  The full key table lives in
-docs/FORMATS.md.
+time.  ``RunConfig`` builds the toy model config, the two tasks, the Tucker
+ranks and an adapter ``InitConfig`` once, so their own validators check the
+model, task, rank and initialization constraints; it checks each rank
+against its model extent itself.  Every failure is a :class:`ConfigError`
+that names the config key.  The full key table lives in docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, CraftError, is_integer
+from .errors import ConfigError, CraftError, is_finite_real, is_integer
+from .adapter import InitConfig
 from .toy import SyntheticTask, ToyConfig
 from .tucker import TuckerRanks
 
@@ -49,25 +50,26 @@ class RunConfig:
     ranks: TuckerRanks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # ToyConfig comes first, so a bad extent is named before any rank
+        # ToyConfig comes first, so a bad extent is named before any rank;
+        # these types name their fields, and each field is a config key
         try:
-            object.__setattr__(self, "toy", ToyConfig(
-                n_layers=self.n_layers, d_model=self.d_model,
-                vocab_size=self.vocab_size, seq_len=self.seq_len,
-                n_classes=self.n_classes, seed=self.seed,
-            ))
-            object.__setattr__(self, "pretraining", SyntheticTask(
-                rule="majority", seed=self.seed,
-                train_size=self.train_size, eval_size=self.eval_size,
-            ))
-            object.__setattr__(self, "finetuning", SyntheticTask(
-                rule=self.finetune_task, seed=self.seed,
-                train_size=self.train_size, eval_size=self.eval_size,
-            ))
-            object.__setattr__(self, "ranks", TuckerRanks(self.r1, self.r2, self.r3))
-            self.ranks.validate_for((self.n_layers, self.d_model, self.d_model))
+            toy = ToyConfig(self.n_layers, self.d_model, self.vocab_size,
+                            self.seq_len, self.n_classes, self.seed)
+            pretraining = SyntheticTask("majority", self.seed, self.train_size, self.eval_size)
+            ranks = TuckerRanks(self.r1, self.r2, self.r3)
+            InitConfig(self.epsilon, self.sigma)  # only checked: adapters get their own seeds
         except CraftError as err:
             raise ConfigError(str(err)) from err
+        try:
+            finetuning = dataclasses.replace(pretraining, rule=self.finetune_task)
+        except CraftError as err:
+            raise ConfigError(f"finetune_task: {err}") from err
+        for key, extent_key in (("r1", "n_layers"), ("r2", "d_model"), ("r3", "d_model")):
+            r, extent = getattr(self, key), getattr(self, extent_key)
+            if r > extent:
+                raise ConfigError(f"{key}={r} exceeds {extent_key}={extent}")
+        # the instance is frozen, so the built fields go straight into its dict
+        vars(self).update(toy=toy, pretraining=pretraining, finetuning=finetuning, ranks=ranks)
         _validate(self)
 
     @property
@@ -82,15 +84,11 @@ def _validate(cfg: RunConfig) -> None:
         v = getattr(cfg, name)
         if not is_integer(v) or v < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
-    for name in ("epsilon", "sigma"):
-        v = getattr(cfg, name)
-        if not math.isfinite(v) or v < 0:
-            raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}")
     for name in ("eta", "head_eta", "pretrain_eta"):
         v = getattr(cfg, name)
-        if v is not None and not math.isfinite(v):
-            raise ConfigError(f"{name} must be finite, got {v!r}")
-    if not 0.0 < cfg.pretrain_target <= 1.0:
+        if not (is_finite_real(v) or (name == "head_eta" and v is None)):
+            raise ConfigError(f"{name} must be a finite real, got {v!r}")
+    if not (is_finite_real(cfg.pretrain_target) and 0.0 < cfg.pretrain_target <= 1.0):
         raise ConfigError(f"pretrain_target must be in (0, 1], got {cfg.pretrain_target!r}")
     if cfg.vocab_size % 2 != 0:
         raise ConfigError(f"vocab_size must be even for the majority task, got {cfg.vocab_size}")

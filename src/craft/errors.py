@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the integer check every
-validator uses before raising them.
+"""Exception types shared across the package, and the integer and real-number
+checks every validator uses before raising them.
 
 The CLI maps each class onto a stable exit code; see docs/FORMATS.md.
 """
 
+import math
 import numbers
 
 
@@ -11,6 +12,12 @@ def is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools and for floats,
     even integral ones such as ``2.0``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for finite Python and numpy reals, integers included; False for bools."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class CraftError(Exception):

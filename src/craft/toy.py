@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
-from .errors import DivergenceError, PretrainError, ValidationError, is_integer
+from .errors import DivergenceError, PretrainError, ValidationError, is_finite_real, is_integer
 from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
@@ -380,8 +380,8 @@ def craft_finetune(
     Full-batch descent for ``steps`` steps; returns the adapted model and the
     per-step loss curve.  The input model is left untouched.
     """
-    if not np.isfinite(eta):
-        raise ValidationError(f"eta must be finite, got {eta!r}")
+    if not is_finite_real(eta):
+        raise ValidationError(f"eta must be a finite real, got {eta!r}")
     head_eta = eta if head_eta is None else head_eta
     for name, a in adapters.items():
         if name not in ("Q", "V"):
@@ -424,8 +424,8 @@ def head_only_finetune(
     Only the head trains, so the pooled features are computed once and the
     steps run logistic regression on them.
     """
-    if not np.isfinite(eta):
-        raise ValidationError(f"eta must be finite, got {eta!r}")
+    if not is_finite_real(eta):
+        raise ValidationError(f"eta must be a finite real, got {eta!r}")
     tuned = model.clone()
     tokens, labels = make_dataset(task, model.cfg, "train")
     _, cache = forward(tuned, tokens, want_cache=True)

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft.adapter import (
@@ -82,7 +83,7 @@ def test_adapter_stores_no_initial_reconstruction():
     assert np.array_equal(a.r_initial, reconstruct(a.factors))
 
 
-def test_telescoped_delta_matches_expanded_difference():
+def test_adapted_tensor_matches_expanded_difference():
     rng = np.random.default_rng(20)
     for dims, ranks in (((3, 6, 6), (2, 3, 3)), ((12, 16, 16), (4, 8, 8))):
         a, w = random_adapter(rng, dims=dims, ranks=ranks)
@@ -185,6 +186,50 @@ def test_extract_layer_rejects_out_of_range(layer):
         extract_layer(a, layer)
 
 
+def test_extract_layer_does_not_build_the_full_tensor():
+    rng = np.random.default_rng(21)
+    a, w = random_adapter(rng, dims=(32, 24, 24), ranks=(2, 4, 4))
+    tracemalloc.start()
+    try:
+        layer = extract_layer(a, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layer.shape == (24, 24)
+    assert peak < w.nbytes // 4
+
+
+@st.composite
+def dims_and_ranks(draw):
+    dims = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    return dims, tuple(draw(st.integers(1, d)) for d in dims)
+
+
+@given(shape=dims_and_ranks(), seed=st.integers(0, 2**31))
+@example(shape=((1, 4, 5), (1, 2, 3)), seed=0)
+@example(shape=((3, 4, 5), (1, 1, 1)), seed=1)
+@example(shape=((1, 1, 1), (1, 1, 1)), seed=2)
+@settings(max_examples=60, deadline=None)
+def test_grad_matches_einsum_contraction(shape, seed):
+    dims, ranks = shape
+    rng = np.random.default_rng(seed)
+    a = init_adapter(rng.standard_normal(dims), TuckerRanks(*ranks),
+                     InitConfig(epsilon=0.3, sigma=1.0, seed=seed))
+    upstream = rng.standard_normal(dims)
+    f = a.factors
+    a1, a2, a3 = (u @ j for u, j in zip(f.factor_matrices, a.j_matrices))
+    # d<upstream, core x1 u1 j1 x2 u2 j2 x3 u3 j3>/dj_n, summed over every index
+    reference = (
+        np.einsum("ijk,abc,jb,kc,ix->xa", upstream, f.core, a2, a3, f.u1),
+        np.einsum("ijk,abc,ia,kc,jy->yb", upstream, f.core, a1, a3, f.u2),
+        np.einsum("ijk,abc,ia,jb,kz->zc", upstream, f.core, a1, a2, f.u3),
+    )
+    scale = max(np.abs(r).max() for r in reference)
+    for g, r in zip(grad_j(a, upstream), reference):
+        assert g.shape == r.shape
+        assert np.abs(g - r).max() <= 1e-12 * scale
+
+
 def test_grad_zero_upstream():
     rng = np.random.default_rng(10)
     a, _ = random_adapter(rng)
@@ -273,6 +318,14 @@ def test_sgd_step_rejects_non_finite_gradients():
         sgd_step(a, (g1, g2, g3), np.inf)
 
 
+@pytest.mark.parametrize("eta", [None, True, "0.1", np.nan, -np.inf])
+def test_sgd_step_rejects_bad_eta(eta):
+    rng = np.random.default_rng(22)
+    a, _ = random_adapter(rng)
+    with pytest.raises(ValidationError, match="eta"):
+        sgd_step(a, grad_j(a, rng.standard_normal(a.dims)), eta)
+
+
 def test_trainable_param_count_values():
     assert trainable_param_count(TuckerRanks(24, 100, 100), 2) == 41_152
     assert trainable_param_count(TuckerRanks(1, 1, 1), 1) == 3
@@ -289,6 +342,21 @@ def test_trainable_param_count_rejects_non_integer_projections(n_projections):
 def test_init_config_rejects_non_integer_seed(seed):
     with pytest.raises(ValidationError):
         InitConfig(seed=seed)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", None), ("epsilon", True), ("epsilon", "0.01"), ("epsilon", np.inf),
+    ("epsilon", -0.1), ("sigma", "x"), ("sigma", None), ("sigma", np.nan),
+    ("sigma", np.bool_(True)),
+])
+def test_init_config_rejects_bad_reals(field, value):
+    with pytest.raises(ValidationError, match=field):
+        InitConfig(**{field: value})
+
+
+def test_init_config_accepts_integer_and_numpy_reals():
+    cfg = InitConfig(epsilon=0, sigma=np.float32(0.5))
+    assert (cfg.epsilon, cfg.sigma) == (0, 0.5)
 
 
 def test_trainable_param_count_reads_neither_depth_nor_width():

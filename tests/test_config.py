@@ -100,6 +100,35 @@ def test_integer_fields_reject_bools_and_floats(field, value):
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", None), ("epsilon", True), ("epsilon", float("nan")),
+    ("sigma", "x"), ("sigma", float("inf")),
+    ("eta", None), ("eta", True), ("eta", "0.1"),
+    ("head_eta", float("nan")), ("head_eta", False),
+    ("pretrain_eta", None), ("pretrain_target", None), ("pretrain_target", True),
+])
+def test_real_fields_reject_non_reals(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_real_fields_accept_integers_and_numpy_reals():
+    cfg = RunConfig(epsilon=0, sigma=np.float32(0.5), eta=np.float64(0.2), head_eta=None)
+    assert (cfg.epsilon, cfg.sigma, cfg.effective_head_eta) == (0, 0.5, 0.2)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("finetune_task=x", r"^finetune_task: .*'x'"),
+    ("r1=100", r"^r1=100 exceeds n_layers=4$"),
+    ("r2=64", r"^r2=64 exceeds d_model=32$"),
+    ("d_model=16\nr3=17", r"^r3=17 exceeds d_model=16$"),
+    ("train_size=0", r"^train_size "),
+])
+def test_delegated_errors_name_the_config_key(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_run_config(text)
+
+
 def test_integer_fields_accept_numpy_integers():
     cfg = RunConfig(steps=np.int64(5), seed=np.int32(3), r1=np.int64(2))
     assert (cfg.steps, cfg.seed, cfg.r1) == (5, 3, 2)

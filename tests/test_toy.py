@@ -277,6 +277,14 @@ def test_head_only_finetune_updates_only_head():
     assert not np.array_equal(tuned.head_w, m.head_w)
 
 
+@pytest.mark.parametrize("eta", [None, True, "0.1", np.inf])
+def test_finetune_rejects_bad_eta(eta):
+    with pytest.raises(ValidationError, match="eta"):
+        craft_finetune(small_model(), {}, SMALL_TASK, eta=eta, steps=1)
+    with pytest.raises(ValidationError, match="eta"):
+        head_only_finetune(small_model(), SMALL_TASK, eta=eta, steps=1)
+
+
 def test_divergence_is_reported_with_step():
     task = SyntheticTask(seed=6, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=6), task, max_steps=60)
