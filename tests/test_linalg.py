@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from craft.errors import RankError
-from craft.linalg import truncated_svd
+from craft import linalg
+from craft.errors import ConvergenceError, RankError
+from craft.linalg import OFF_TOL, _circle_shift, _fix_signs, truncated_svd
 
 
 def test_svd_diagonal():
@@ -93,17 +96,128 @@ def test_svd_zero_matrix():
     np.testing.assert_array_equal(res.singular_values, np.zeros(2))
     gram = res.left_vectors.T @ res.left_vectors
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-15)
+    assert res.sweeps == 0
+    assert res.residual == 0.0
+
+
+def test_svd_reports_sweeps_and_residual():
+    res = truncated_svd(np.random.default_rng(8).standard_normal((9, 13)), 4)
+    assert res.sweeps >= 1
+    assert 0.0 <= res.residual <= OFF_TOL
 
 
 def test_svd_r_beyond_numerical_rank_completes_basis():
     # tall rank-1 input: extra requested vectors come back orthonormal with
-    # zero singular values
-    a = np.outer(np.arange(1.0, 6.0), np.ones(1))
-    res = truncated_svd(a, 5)
-    assert res.singular_values[0] > 0
-    np.testing.assert_allclose(res.singular_values[1:], 0.0, atol=1e-12)
-    gram = res.left_vectors.T @ res.left_vectors
-    np.testing.assert_allclose(gram, np.eye(5), atol=1e-12)
+    # zero singular values; 130 rows take several column blocks, the last
+    # one padded
+    for rows in (5, 130):
+        a = np.outer(np.arange(1.0, rows + 1.0), np.ones(1))
+        res = truncated_svd(a, rows)
+        assert res.singular_values[0] > 0
+        np.testing.assert_allclose(res.singular_values[1:], 0.0, atol=1e-12)
+        gram = res.left_vectors.T @ res.left_vectors
+        np.testing.assert_allclose(gram, np.eye(rows), atol=1e-12)
+
+
+def _orthonormal(rng, n, k):
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    rank=st.integers(0, 40),
+    repeated=st.booleans(),
+    max_block=st.sampled_from([1, 2, 3, 5, linalg.MAX_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=33, cols=7, rank=3, repeated=True, max_block=linalg.MAX_BLOCK, seed=0)
+@example(rows=40, cols=40, rank=40, repeated=False, max_block=3, seed=1)
+def test_svd_matches_lapack_oracle(rows, cols, rank, repeated, max_block, seed):
+    # np.linalg.svd serves only as the oracle.  Narrow blocks give small
+    # inputs several blocks and rounds per sweep, and padding where the block
+    # width does not divide the row count.
+    rng = np.random.default_rng(seed)
+    full = min(rows, cols)
+    rank = min(rank, full)
+    if repeated:
+        spectrum = rng.choice([1.0, 2.5, 4.0], size=rank)
+    else:
+        spectrum = rng.uniform(0.1, 10.0, size=rank)
+    m = (_orthonormal(rng, rows, rank) * spectrum) @ _orthonormal(rng, cols, rank).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MAX_BLOCK", max_block)
+        res = truncated_svd(m, rows)
+        again = truncated_svd(m.copy(), rows)
+
+    oracle = np.zeros(rows)
+    oracle[:full] = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(res.singular_values - oracle)) <= 1e-12 * oracle[0]
+    u = res.left_vectors
+    assert u.shape == (rows, rows)
+    # a padding column (zero) among the returned vectors would break this
+    assert np.max(np.abs(u.T @ u - np.eye(rows))) <= 1e-12
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(rows)]
+    assert np.all(peaks >= 0.0)
+    assert np.array_equal(res.left_vectors, again.left_vectors)
+    assert np.array_equal(res.singular_values, again.singular_values)
+    assert (res.sweeps, res.residual) == (again.sweeps, again.residual)
+
+
+def test_svd_exhausted_sweep_budget_raises_with_residual(monkeypatch):
+    # the first sweep always runs, so a factor of 0 leaves a budget of one
+    monkeypatch.setattr(linalg, "SWEEP_CAP_FACTOR", 0)
+    with pytest.raises(ConvergenceError) as info:
+        truncated_svd(np.random.default_rng(9).standard_normal((24, 40)), 3)
+    assert info.value.residual > OFF_TOL
+    assert info.value.mode is None
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 64])
+def test_circle_shift_pairs_every_two_items_once(n):
+    shift = _circle_shift(n)
+    seats = np.arange(n)
+    met = set()
+    for _ in range(n - 1):
+        met.update(frozenset(pair) for pair in seats.reshape(-1, 2).tolist())
+        seats = seats[shift]
+    assert len(met) == n * (n - 1) // 2
+    assert np.array_equal(seats, np.arange(n))
+
+
+def _fix_signs_per_column(vectors):
+    """Reference: flip each column whose first largest-magnitude entry is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = int(np.argmax(np.abs(col)))
+        if col[idx] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_fix_signs_matches_per_column_reference():
+    # columns 0 and 1 tie in magnitude; the lowest index decides the sign
+    tied = np.array([
+        [0.5, -0.5, 0.0, -0.0],
+        [-0.5, 0.5, -0.0, 0.0],
+        [0.25, -0.0, 0.0, -3.0],
+    ])
+    expected = np.array([
+        [0.5, 0.5, 0.0, 0.0],
+        [-0.5, -0.5, -0.0, -0.0],
+        [0.25, 0.0, 0.0, 3.0],
+    ])
+    rng = np.random.default_rng(10)
+    for vectors, want in [(tied, expected), (rng.standard_normal((7, 5)), None)]:
+        out = _fix_signs(vectors)
+        reference = _fix_signs_per_column(vectors)
+        # bytes, so signed zeros count too
+        assert out.tobytes() == reference.tobytes()
+        if want is not None:
+            assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("r", [0, -1, 5, 2.5, True, 2.0, np.float64(2.0), np.nan])

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from craft.errors import RankError, ValidationError
+from craft import linalg
+from craft.errors import ConvergenceError, RankError, ValidationError
 from craft.tensor import frobenius_norm, unfold
 from craft.tucker import (
     TuckerFactors,
@@ -133,6 +134,18 @@ def test_approximation_error_zero_tensor():
     zero_f = TuckerFactors(core, u1, u1, u1, TuckerRanks(1, 1, 1))
     absolute, relative = approximation_error(np.zeros((2, 2, 2)), zero_f)
     assert absolute == 0.0 and relative == 0.0
+
+
+def test_hosvd_names_the_mode_whose_svd_ran_out_of_sweeps(monkeypatch):
+    # the first sweep always runs, so a factor of 0 leaves a budget of one;
+    # the single-row mode-1 unfolding converges within it, mode 2 does not
+    monkeypatch.setattr(linalg, "SWEEP_CAP_FACTOR", 0)
+    w = np.random.default_rng(11).standard_normal((1, 8, 9))
+    with pytest.raises(ConvergenceError) as info:
+        hosvd(w, TuckerRanks(1, 2, 2))
+    assert info.value.mode == 2
+    assert info.value.residual > linalg.OFF_TOL
+    assert "mode 2" in str(info.value)
 
 
 def test_hosvd_rejects_invalid_ranks():
