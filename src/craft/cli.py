@@ -109,6 +109,9 @@ def _cmd_decompose(args) -> int:
     print(f"dense_params={dense}")
     print(f"factor_params={factor}")
     print(f"compression_ratio={_fmt(dense / factor)}")
+    for mode, (sweeps, residual) in enumerate(factors.convergence, start=1):
+        print(f"mode{mode}_sweeps={sweeps}")
+        print(f"mode{mode}_residual={_fmt(residual)}")
     return 0
 
 
@@ -137,12 +140,14 @@ def _cmd_train_toy(args) -> int:
         model, cfg.ranks, epsilon=cfg.epsilon, sigma=cfg.sigma,
         projections=cfg.projections,
     )
+    # both fine-tunings train on the same set
+    train_b = make_dataset(cfg.finetuning, cfg.toy, "train")
     tuned, craft_losses = craft_finetune(
-        model, adapters, cfg.finetuning, eta=cfg.eta, steps=cfg.steps,
+        model, adapters, *train_b, eta=cfg.eta, steps=cfg.steps,
         head_eta=cfg.effective_head_eta,
     )
     baseline, baseline_losses = head_only_finetune(
-        model, cfg.finetuning, eta=cfg.effective_head_eta, steps=cfg.steps,
+        model, *train_b, eta=cfg.effective_head_eta, steps=cfg.steps,
     )
 
     eval_b = make_dataset(cfg.finetuning, cfg.toy, "eval")

@@ -17,13 +17,20 @@ which held a dense ``I1 x I2 x I3`` initial reconstruction after w_original;
 the reader skips that block, since the adapter derives it from the factors.
 
 The checksum is CRC-64/XZ (polynomial 0x42F0E1EBA9EA3693, reflected,
-init and xor-out all-ones).  Writes go to a temporary file in the target
+init and xor-out all-ones); its definition, the check vector and every file
+byte are the same as when it was computed one byte at a time.  ``crc64``
+splits its input into up to 4096 equal contiguous lanes and advances all of
+their registers together, one 8-byte word per step through eight 256-entry
+tables.  It then merges neighbouring lanes pairwise with the tables of
+"advance over 2**k zero bytes", built by squaring the one-byte step as far
+as the input needs.  Writes go to a temporary file in the target
 directory, which is flushed to disk with ``fsync`` and then renamed into
 place, so a crash or power loss leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -58,30 +65,87 @@ _EXTENT_COUNT = {
 }
 
 _CRC64_POLY_REFLECTED = 0xC96C5795D7870F42
+_ALL_ONES = 0xFFFFFFFFFFFFFFFF
+# inputs past 32 KB get wider lanes, not more of them, so the register arrays
+# stay within 32 KB whatever the input size
+_MAX_LANES = 4096
 
 
-def _build_crc_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte
+def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """A GF(2)-linear map of registers, given by the images of each byte (8 x 256)."""
+    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    if len(octets) < 256:
+        # few registers: one gather costs less than eight calls
+        return np.bitwise_xor.reduce(tables[np.arange(8), octets], axis=1)
+    out = tables[0][octets[:, 0]]
+    for i in range(1, 8):
+        out ^= tables[i][octets[:, i]]
+    return out
+
+
+# Tables are built on first use, so importing the module computes nothing.
+@functools.cache
+def _zero_advance(level: int) -> np.ndarray:
+    """Tables of the map that advances a register over ``2**level`` zero bytes."""
+    if level == 0:
+        # the byte shifted out selects a table entry; the other bytes move down
+        crc = byte = np.arange(256, dtype="<u8")
         for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _CRC64_POLY_REFLECTED
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
+            crc = np.where(crc & 1, (crc >> 1) ^ _CRC64_POLY_REFLECTED, crc >> 1)
+        tables = np.stack([crc] + [byte << (8 * i - 8) for i in range(1, 8)])
+    else:
+        half = _zero_advance(level - 1)
+        tables = _apply(half, half.ravel()).reshape(8, 256)
+    tables.setflags(write=False)  # cached: every caller shares this array
+    return tables
 
 
-_CRC_TABLE = _build_crc_table()
+@functools.cache
+def _init_prefix() -> np.ndarray:
+    """The 8 bytes that take a zero register to the all-ones init.
+
+    One-byte steps run backwards from all-ones: the top byte of a table entry
+    determines the byte that selected it.
+    """
+    table = _zero_advance(0)[0]
+    byte_of_top = np.argsort(table >> 56)
+    reg = _ALL_ONES
+    for _ in range(8):
+        b = int(byte_of_top[reg >> 56])
+        reg = ((reg ^ int(table[b])) << 8 | b) & _ALL_ONES
+    return np.frombuffer(reg.to_bytes(8, "little"), dtype=np.uint8)
 
 
-def crc64(data: bytes) -> int:
-    """CRC-64/XZ of ``data``."""
-    crc = 0xFFFFFFFFFFFFFFFF
-    for byte in data:
-        crc = _CRC_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+def crc64(data) -> int:
+    """CRC-64/XZ of ``data`` (bytes, bytearray or memoryview)."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    # Equal lanes tile zeros + _init_prefix() + data, so every lane starts from a
+    # zero register (zeros keep it zero); the lanes holding the prefix are a copy.
+    span = len(arr) + 8
+    width = max(8, 1 << (-(-span // _MAX_LANES) - 1).bit_length())
+    lanes = -(-span // width)
+    pad = lanes * width - span
+    head_lanes = -(-(pad + 8) // width)
+    cut = head_lanes * width - pad - 8
+    head = np.zeros(head_lanes * width, dtype=np.uint8)
+    head[pad:pad + 8] = _init_prefix()
+    head[pad + 8:] = arr[:cut]
+    columns = width // 8
+    head = head.view("<u8").reshape(head_lanes, columns)
+    body = arr[cut:].view("<u8").reshape(lanes - head_lanes, columns)
+    # each step takes one 8-byte word per lane: xor it in, then advance 8 zero bytes
+    step = _zero_advance(3)
+    regs = np.zeros(lanes, dtype="<u8")
+    for j in range(columns):
+        regs[:head_lanes] ^= head[:, j]
+        regs[head_lanes:] ^= body[:, j]
+        regs = _apply(step, regs)
+    # merge neighbours pairwise; leading zero lanes pad the count to a power of two
+    levels = (lanes - 1).bit_length()
+    regs = np.concatenate([np.zeros((1 << levels) - lanes, dtype="<u8"), regs])
+    for level in range(width.bit_length() - 1, width.bit_length() - 1 + levels):
+        regs = _apply(_zero_advance(level), regs[0::2]) ^ regs[1::2]
+    return int(regs[0]) ^ _ALL_ONES
 
 
 def _float_block(arr: np.ndarray) -> bytes:

@@ -370,13 +370,15 @@ def build_adapters(
 def craft_finetune(
     model: ToyModel,
     adapters: Mapping[str, CraftAdapter],
-    task: SyntheticTask,
+    tokens,
+    labels,
     eta: float,
     steps: int,
     head_eta: float | None = None,
 ) -> tuple[ToyModel, list[float]]:
-    """Adapt to ``task`` by training only the adaptation matrices and the head.
+    """Adapt to a training set by training only the adaptation matrices and the head.
 
+    ``tokens, labels`` is a task's train split from :func:`make_dataset`.
     Full-batch descent for ``steps`` steps; returns the adapted model and the
     per-step loss curve.  The input model is left untouched.
     """
@@ -393,7 +395,6 @@ def craft_finetune(
             )
     tuned = model.clone()
     tuned.adapters = dict(adapters)
-    tokens, labels = make_dataset(task, model.cfg, "train")
 
     losses = []
     for step in range(steps):
@@ -415,21 +416,23 @@ def craft_finetune(
 
 def head_only_finetune(
     model: ToyModel,
-    task: SyntheticTask,
+    tokens,
+    labels,
     eta: float,
     steps: int,
 ) -> tuple[ToyModel, list[float]]:
     """Baseline: identical budget and head learning rate, backbone fully frozen.
 
-    Only the head trains, so the pooled features are computed once and the
-    steps run logistic regression on them.
+    ``tokens, labels`` is the training set :func:`craft_finetune` gets.  Only
+    the head trains, so the pooled features are computed once and the steps
+    run logistic regression on them.
     """
     if not is_finite_real(eta):
         raise ValidationError(f"eta must be a finite real, got {eta!r}")
     tuned = model.clone()
-    tokens, labels = make_dataset(task, model.cfg, "train")
     _, cache = forward(tuned, tokens, want_cache=True)
     pooled = cache["pooled"]
+    labels = _check_labels(tuned, labels, len(pooled))
     losses = []
     for step in range(steps):
         loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)

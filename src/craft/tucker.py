@@ -9,7 +9,7 @@ trained delta to exactly these factors for the rest of training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,19 @@ class TuckerRanks:
 
 @dataclass(frozen=True, eq=False)
 class TuckerFactors:
-    """Core tensor plus the three orthonormal factor matrices, all frozen."""
+    """Core tensor plus the three orthonormal factor matrices, all frozen.
+
+    ``convergence`` holds, per mode, the ``(sweeps, residual)`` of the
+    truncated SVD that produced the factor.  It is telemetry: files do not
+    store it, so factors read from a file have it empty.
+    """
 
     core: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
     ranks: TuckerRanks
+    convergence: tuple[tuple[int, float], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "core", frozen_array(self.core, 3, "core"))
@@ -104,16 +110,18 @@ def hosvd(w, ranks: TuckerRanks) -> TuckerFactors:
     """Tucker-3 decomposition of ``w`` at the given multilinear rank."""
     arr = tensor3(w)
     ranks.validate_for(arr.shape)
-    factors = []
+    svds = []
     for mode, r in enumerate(ranks.as_tuple(), start=1):
         try:
-            factors.append(truncated_svd(unfold(arr, mode), r).left_vectors)
+            svds.append(truncated_svd(unfold(arr, mode), r))
         except ConvergenceError as err:
             raise ConvergenceError(
                 "SVD of unfolding failed to converge", err.residual, mode=mode
             ) from err
-    core = expand(arr, factors[0].T, factors[1].T, factors[2].T)
-    return TuckerFactors(core, factors[0], factors[1], factors[2], ranks)
+    u1, u2, u3 = (s.left_vectors for s in svds)
+    core = expand(arr, u1.T, u2.T, u3.T)
+    return TuckerFactors(core, u1, u2, u3, ranks,
+                         convergence=tuple((s.sweeps, s.residual) for s in svds))
 
 
 def reconstruct(f: TuckerFactors) -> np.ndarray:

@@ -212,12 +212,13 @@ def test_criterion_5_toy_adaptation_win():
     pretrain_ok = model.pretrain_eval_acc >= 0.9
 
     task_b = task_a.flipped()
+    train_b = make_dataset(task_b, cfg, "train")
     eval_tokens, eval_labels = make_dataset(task_b, cfg, "eval")
     ranks = TuckerRanks(*TOY_RANKS)
 
     # zero-epsilon, zero-step adaptation must reproduce the pretrained metrics
     frozen_adapters = build_adapters(model, ranks, epsilon=0.0)
-    untouched, _ = craft_finetune(model, frozen_adapters, task_b, eta=0.0, steps=0)
+    untouched, _ = craft_finetune(model, frozen_adapters, *train_b, eta=0.0, steps=0)
     logit_diff = np.abs(forward(untouched, eval_tokens)
                         - forward(model, eval_tokens)).max()
     preserve_ok = (logit_diff <= 1e-10
@@ -225,8 +226,8 @@ def test_criterion_5_toy_adaptation_win():
                    == evaluate(model, eval_tokens, eval_labels))
 
     adapters = build_adapters(model, ranks)
-    tuned, _ = craft_finetune(model, adapters, task_b, **FINETUNE)
-    baseline, _ = head_only_finetune(model, task_b, eta=FINETUNE["eta"],
+    tuned, _ = craft_finetune(model, adapters, *train_b, **FINETUNE)
+    baseline, _ = head_only_finetune(model, *train_b, eta=FINETUNE["eta"],
                                      steps=FINETUNE["steps"])
     craft_acc = evaluate(tuned, eval_tokens, eval_labels)
     baseline_acc = evaluate(baseline, eval_tokens, eval_labels)

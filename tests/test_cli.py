@@ -8,7 +8,8 @@ from craft.serialization import (
     write_matrix,
     write_tensor3,
 )
-from craft.tensor import stack_layers
+from craft.linalg import OFF_TOL, truncated_svd
+from craft.tensor import stack_layers, unfold
 from helpers import radius_construction
 
 
@@ -31,6 +32,24 @@ def test_decompose_full_rank_prints_tiny_error(tensor_file, tmp_path, capsys):
     assert rel <= 1e-10
     assert out.exists()
     read_tucker_factors(out)
+
+
+def test_decompose_prints_per_mode_convergence_after_existing_keys(tensor_file, tmp_path,
+                                                                  capsys):
+    assert main(["decompose", "--input", str(tensor_file), "--ranks", "2,3,3",
+                 "--output", str(tmp_path / "f.crft")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote ")
+    fields = dict(line.split("=", 1) for line in lines[1:])
+    assert list(fields) == [
+        "dims", "absolute_error", "relative_error", "dense_params", "factor_params",
+        "compression_ratio", "mode1_sweeps", "mode1_residual", "mode2_sweeps",
+        "mode2_residual", "mode3_sweeps", "mode3_residual"]
+    w = read_tensor3(tensor_file)
+    for mode, r in enumerate((2, 3, 3), start=1):
+        svd = truncated_svd(unfold(w, mode), r)
+        assert int(fields[f"mode{mode}_sweeps"]) == svd.sweeps >= 1
+        assert float(fields[f"mode{mode}_residual"]) == svd.residual <= OFF_TOL
 
 
 def test_decompose_accepts_matrix_stack(tmp_path, capsys):
@@ -176,6 +195,26 @@ def test_train_toy_pipeline_and_summary(tmp_path, capsys):
         assert (out_dir / name).exists()
     losses = (out_dir / "craft_losses.txt").read_text().splitlines()
     assert len(losses) == 8 and losses[0].startswith("step=0 loss=")
+
+
+def test_train_toy_builds_each_dataset_once(tmp_path, monkeypatch):
+    from craft import cli, toy
+
+    built = []
+    real = toy.make_dataset
+
+    def counting(task, cfg, split):
+        built.append((task.rule, split))
+        return real(task, cfg, split)
+
+    monkeypatch.setattr(toy, "make_dataset", counting)
+    monkeypatch.setattr(cli, "make_dataset", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\nr1=2\nr2=4\nr3=4\nsteps=2\ntrain_size=96\neval_size=96\n")
+    assert main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    # pretraining's train and eval sets, then the fine-tuning task's, one call each
+    assert sorted(built) == [("majority", "eval"), ("majority", "train"),
+                             ("majority_flip", "eval"), ("majority_flip", "train")]
 
 
 def test_train_toy_epsilon_zero_zero_steps_preserves_metrics(tmp_path):

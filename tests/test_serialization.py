@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -24,6 +25,7 @@ from craft.serialization import (
     write_tucker_factors,
 )
 from craft.tucker import TuckerFactors, TuckerRanks, hosvd, reconstruct
+from crc_reference import reference_crc64
 
 HEADER6 = 4 + 2 + 1 + 1 + 6 * 8
 
@@ -58,6 +60,48 @@ def assert_same_adapter(x, y):
 def test_crc64_check_vector():
     assert crc64(b"123456789") == 0x995DC9BBDF1939FA
     assert crc64(b"") == 0
+
+
+def assert_crc64_matches_reference(length, seed):
+    data = np.random.default_rng(seed).integers(0, 256, length + 3, dtype=np.uint8).tobytes()
+    expected = reference_crc64(data[1:-2])
+    assert crc64(data[1:-2]) == expected
+    assert crc64(bytearray(data[1:-2])) == expected
+    # _parse checksums a slice of a memoryview over the whole file
+    assert crc64(memoryview(data)[1:-2]) == expected
+
+
+# n = k * 2**j + delta: exact multiples of every lane width up to 2**j, one
+# byte either side, and the lengths where the 8-byte init prefix fills a lane
+# or straddles two.  Inputs below 32 KB run on 8-byte lanes, so lengths 1-7
+# are the ones below one lane.
+_LANE_BOUNDARIES = st.builds(
+    lambda k, j, delta: max(0, k * 2**j + delta),
+    st.integers(1, 4095), st.integers(0, 5), st.sampled_from([-9, -8, -7, -1, 0, 1]))
+
+
+@given(length=st.one_of(st.integers(0, 7), st.integers(8, 600), _LANE_BOUNDARIES),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_crc64_matches_the_byte_loop(length, seed):
+    assert_crc64_matches_reference(length, seed)
+
+
+@pytest.mark.parametrize("length", [
+    4096 * 8 - 8,       # the most 8-byte lanes
+    4096 * 8 - 7,       # one byte more: 16-byte lanes
+    4096 * 64 + 1,
+    1_688_120,          # the CRC input of a 12x128x128 adapter file, ranks (4, 32, 32)
+    2**21 - 1,
+])
+def test_crc64_matches_the_byte_loop_on_large_inputs(length):
+    assert_crc64_matches_reference(length, seed=length)
+
+
+@given(length=st.integers(2**20, 2_100_000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_crc64_matches_the_byte_loop_on_random_large_lengths(length, seed):
+    assert_crc64_matches_reference(length, seed)
 
 
 def test_tensor3_round_trip_bitwise(tmp_path):
@@ -211,6 +255,36 @@ def test_rewrite_is_byte_identical(tmp_path):
     write_craft_adapter(p1, a)
     write_craft_adapter(p2, a)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def signed_columns(rng, rows, cols):
+    """Orthonormal columns without rounding: distinct unit vectors, random signs."""
+    u = np.zeros((rows, cols))
+    u[rng.permutation(rows)[:cols], np.arange(cols)] = rng.choice([-1.0, 1.0], cols)
+    return u
+
+
+# sha256 of each file as written while crc64 still ran one byte at a time.  The
+# values come from seeded draws and exact products only, not from a solver, so
+# the bytes do not depend on BLAS.
+GOLDEN_SHA256 = {
+    "adapter": "ec656ba438841770436c222a1942532de6c2e40ad8297cec800eddd820abc107",
+    "tensor3": "80054d06e5026e72f583ffb349bc3d4ac721d520bdfa2c2bedf53adfdfa9343b",
+}
+
+
+def test_written_files_match_pinned_digests(tmp_path):
+    rng = np.random.default_rng(8)
+    dims, ranks = (12, 128, 128), (4, 32, 32)
+    w = rng.standard_normal(dims)
+    core = rng.standard_normal(ranks)
+    us = [signed_columns(rng, d, r) for d, r in zip(dims, ranks)]
+    js = [np.eye(r) + 0.05 * rng.standard_normal((r, r)) for r in ranks]
+    a = CraftAdapter(w, TuckerFactors(core, *us, TuckerRanks(*ranks)), *js)
+    write_craft_adapter(tmp_path / "adapter.crft", a)
+    write_tensor3(tmp_path / "tensor3.crft", rng.standard_normal((6, 50, 70)))
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{name}.crft").read_bytes()).hexdigest() == digest
 
 
 def test_single_byte_corruption_detected(tmp_path):

@@ -20,10 +20,15 @@ from craft.tucker import TuckerRanks
 
 SMALL_CFG = ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=1)
 SMALL_TASK = SyntheticTask(seed=1, train_size=16, eval_size=16)
+SMALL_TRAIN = make_dataset(SMALL_TASK, SMALL_CFG, "train")
 
 
 def small_model(seed=2):
     return ToyModel(SMALL_CFG, np.random.default_rng(seed))
+
+
+def train_set(model, task):
+    return make_dataset(task, model.cfg, "train")
 
 
 def test_dataset_is_balanced_and_consistent():
@@ -219,9 +224,8 @@ def test_finetune_eta_zero_changes_nothing():
     m = pretrain(ToyConfig(seed=1), SyntheticTask(seed=1, train_size=64, eval_size=64),
                  max_steps=60)
     adapters = build_adapters(m, TuckerRanks(2, 4, 4))
-    tuned, losses = craft_finetune(m, adapters, SyntheticTask(seed=1, train_size=64,
-                                                              eval_size=64).flipped(),
-                                   eta=0.0, steps=5)
+    task = SyntheticTask(seed=1, train_size=64, eval_size=64).flipped()
+    tuned, losses = craft_finetune(m, adapters, *train_set(m, task), eta=0.0, steps=5)
     assert len(set(losses)) == 1  # flat loss curve
     assert np.array_equal(tuned.head_w, m.head_w)
     for name in adapters:
@@ -234,7 +238,7 @@ def test_finetune_on_same_task_descends():
     task = SyntheticTask(seed=2, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=2), task, max_steps=60)
     adapters = build_adapters(m, TuckerRanks(2, 4, 4))
-    _, losses = craft_finetune(m, adapters, task, eta=0.05, steps=10)
+    _, losses = craft_finetune(m, adapters, *train_set(m, task), eta=0.05, steps=10)
     assert losses[-1] <= losses[0]
 
 
@@ -242,7 +246,8 @@ def test_finetune_freezes_backbone():
     task = SyntheticTask(seed=0, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=0), task, max_steps=60)
     adapters = build_adapters(m, TuckerRanks(2, 4, 4))
-    tuned, _ = craft_finetune(m, adapters, task.flipped(), eta=0.1, steps=15)
+    tuned, _ = craft_finetune(m, adapters, *train_set(m, task.flipped()), eta=0.1,
+                               steps=15)
     # the tuned model's backbone equals the pretrained one's, bit for bit
     for name in ("embeddings", "wk", "wo", "wq", "wv"):
         assert np.array_equal(getattr(tuned, name), getattr(m, name)), name
@@ -264,13 +269,13 @@ def test_finetune_rejects_foreign_adapters():
                                                       eval_size=64), max_steps=60)
     adapters = build_adapters(other, TuckerRanks(2, 4, 4))
     with pytest.raises(ValidationError):
-        craft_finetune(m, adapters, task, eta=0.1, steps=1)
+        craft_finetune(m, adapters, *train_set(m, task), eta=0.1, steps=1)
 
 
 def test_head_only_finetune_updates_only_head():
     task = SyntheticTask(seed=5, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=5), task, max_steps=60)
-    tuned, losses = head_only_finetune(m, task.flipped(), eta=0.1, steps=10)
+    tuned, losses = head_only_finetune(m, *train_set(m, task.flipped()), eta=0.1, steps=10)
     assert len(losses) == 10
     for name in ("embeddings", "wq", "wk", "wv", "wo"):
         assert np.array_equal(getattr(tuned, name), getattr(m, name))
@@ -280,9 +285,9 @@ def test_head_only_finetune_updates_only_head():
 @pytest.mark.parametrize("eta", [None, True, "0.1", np.inf])
 def test_finetune_rejects_bad_eta(eta):
     with pytest.raises(ValidationError, match="eta"):
-        craft_finetune(small_model(), {}, SMALL_TASK, eta=eta, steps=1)
+        craft_finetune(small_model(), {}, *SMALL_TRAIN, eta=eta, steps=1)
     with pytest.raises(ValidationError, match="eta"):
-        head_only_finetune(small_model(), SMALL_TASK, eta=eta, steps=1)
+        head_only_finetune(small_model(), *SMALL_TRAIN, eta=eta, steps=1)
 
 
 def test_divergence_is_reported_with_step():
@@ -291,7 +296,7 @@ def test_divergence_is_reported_with_step():
     adapters = build_adapters(m, TuckerRanks(2, 4, 4))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DivergenceError) as excinfo:
-        craft_finetune(m, adapters, task.flipped(), eta=1e6, steps=50)
+        craft_finetune(m, adapters, *train_set(m, task.flipped()), eta=1e6, steps=50)
     assert excinfo.value.step is not None
 
 

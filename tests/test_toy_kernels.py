@@ -131,7 +131,8 @@ def test_repeated_token_rows_give_zero_query_and_key_grads(cfg, tokens, labels, 
 def test_head_only_finetune_is_bitwise_equal_to_reference():
     task = SyntheticTask(seed=5, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=5), task, max_steps=60)
-    tuned, losses = head_only_finetune(m, task.flipped(), eta=0.1, steps=12)
+    train = make_dataset(task.flipped(), m.cfg, "train")
+    tuned, losses = head_only_finetune(m, *train, eta=0.1, steps=12)
     ref, ref_losses = reference_head_only_finetune(m, task.flipped(), eta=0.1, steps=12)
     assert losses == ref_losses
     assert tuned.head_w.tobytes() == ref.head_w.tobytes()
