@@ -160,9 +160,11 @@ def sgd_step(a: CraftAdapter, grads, eta: float) -> CraftAdapter:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != j.shape:
             raise ValidationError(f"gradient {n} has shape {g.shape}, expected {j.shape}")
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"gradient for j{n} contains non-finite entries")
-        new_js[f"j{n}"] = j - eta * g
+        new_j = j - eta * g
+        # covers a non-finite gradient and a step that overflows alike
+        if not np.isfinite(new_j).all():
+            raise DivergenceError(f"update of j{n} contains non-finite entries")
+        new_js[f"j{n}"] = new_j
     return dataclasses.replace(a, **new_js)
 
 

@@ -61,7 +61,7 @@ class PretrainError(CraftError):
 
 
 class DivergenceError(CraftError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss, gradient or update."""
 
     def __init__(self, message, step=None):
         super().__init__(message if step is None else f"{message} (step {step})")

@@ -23,8 +23,11 @@ splits its input into up to 4096 equal contiguous lanes and advances all of
 their registers together, one 8-byte word per step through eight 256-entry
 tables.  It then merges neighbouring lanes pairwise with the tables of
 "advance over 2**k zero bytes", built by squaring the one-byte step as far
-as the input needs.  Writes go to a temporary file in the target
-directory, which is flushed to disk with ``fsync`` and then renamed into
+as the input needs.  Every lane starts from a zero register; since the CRC
+is affine in its initial register, the all-ones init enters as its own
+advance over the first lane's data bytes, xored into that lane.  Writes go
+to a temporary file in the target directory, created with mode 0666 less
+the umask, which is flushed to disk with ``fsync`` and then renamed into
 place, so a crash or power loss leaves either the old file or the new one.
 """
 
@@ -34,7 +37,6 @@ import functools
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -51,17 +53,12 @@ KIND_TUCKER_FACTORS = 3
 KIND_CRAFT_ADAPTER = 4
 DTYPE_FLOAT64 = 1
 
-_KIND_NAMES = {
-    KIND_TENSOR3: "Tensor3",
-    KIND_MATRIX: "Matrix",
-    KIND_TUCKER_FACTORS: "TuckerFactors",
-    KIND_CRAFT_ADAPTER: "CraftAdapter",
-}
-_EXTENT_COUNT = {
-    KIND_TENSOR3: 3,
-    KIND_MATRIX: 2,
-    KIND_TUCKER_FACTORS: 6,
-    KIND_CRAFT_ADAPTER: 6,
+# kind code -> (name, number of u64 extents in the header)
+_KINDS = {
+    KIND_TENSOR3: ("Tensor3", 3),
+    KIND_MATRIX: ("Matrix", 2),
+    KIND_TUCKER_FACTORS: ("TuckerFactors", 6),
+    KIND_CRAFT_ADAPTER: ("CraftAdapter", 6),
 }
 
 _CRC64_POLY_REFLECTED = 0xC96C5795D7870F42
@@ -100,46 +97,34 @@ def _zero_advance(level: int) -> np.ndarray:
     return tables
 
 
-@functools.cache
-def _init_prefix() -> np.ndarray:
-    """The 8 bytes that take a zero register to the all-ones init.
-
-    One-byte steps run backwards from all-ones: the top byte of a table entry
-    determines the byte that selected it.
-    """
-    table = _zero_advance(0)[0]
-    byte_of_top = np.argsort(table >> 56)
-    reg = _ALL_ONES
-    for _ in range(8):
-        b = int(byte_of_top[reg >> 56])
-        reg = ((reg ^ int(table[b])) << 8 | b) & _ALL_ONES
-    return np.frombuffer(reg.to_bytes(8, "little"), dtype=np.uint8)
-
-
 def crc64(data) -> int:
     """CRC-64/XZ of ``data`` (bytes, bytearray or memoryview)."""
     arr = np.frombuffer(data, dtype=np.uint8)
-    # Equal lanes tile zeros + _init_prefix() + data, so every lane starts from a
-    # zero register (zeros keep it zero); the lanes holding the prefix are a copy.
-    span = len(arr) + 8
-    width = max(8, 1 << (-(-span // _MAX_LANES) - 1).bit_length())
-    lanes = -(-span // width)
-    pad = lanes * width - span
-    head_lanes = -(-(pad + 8) // width)
-    cut = head_lanes * width - pad - 8
-    head = np.zeros(head_lanes * width, dtype=np.uint8)
-    head[pad:pad + 8] = _init_prefix()
-    head[pad + 8:] = arr[:cut]
+    n = len(arr)
+    width = max(8, 1 << (-(-n // _MAX_LANES) - 1).bit_length())
+    lanes = max(1, -(-n // width))
+    # Equal lanes tile zeros + data and start from a zero register (zeros keep
+    # it zero); only the first lane, ending in ``cut`` data bytes, is a copy.
+    cut = n - (lanes - 1) * width
+    head = np.zeros(width, dtype=np.uint8)
+    head[width - cut:] = arr[:cut]
+    head = head.view("<u8")
     columns = width // 8
-    head = head.view("<u8").reshape(head_lanes, columns)
-    body = arr[cut:].view("<u8").reshape(lanes - head_lanes, columns)
+    body = arr[cut:].view("<u8").reshape(lanes - 1, columns)
     # each step takes one 8-byte word per lane: xor it in, then advance 8 zero bytes
     step = _zero_advance(3)
     regs = np.zeros(lanes, dtype="<u8")
     for j in range(columns):
-        regs[:head_lanes] ^= head[:, j]
-        regs[head_lanes:] ^= body[:, j]
+        regs[0] ^= head[j]
+        regs[1:] ^= body[:, j]
         regs = _apply(step, regs)
+    # the register is affine in its initial value: the all-ones init adds its
+    # own advance over the first lane's ``cut`` data bytes
+    init = np.array([_ALL_ONES], dtype="<u8")
+    for level in range(cut.bit_length()):
+        if cut >> level & 1:
+            init = _apply(_zero_advance(level), init)
+    regs[0] ^= init[0]
     # merge neighbours pairwise; leading zero lanes pad the count to a power of two
     levels = (lanes - 1).bit_length()
     regs = np.concatenate([np.zeros((1 << levels) - lanes, dtype="<u8"), regs])
@@ -160,16 +145,14 @@ def _header(kind: int, extents) -> bytes:
 def atomic_write(path, blob: bytes) -> None:
     """Write bytes via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.urandom(8).hex()}.tmp")
+    # created the way open() creates files: mode 0666 less the process umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
-        # mkstemp creates the file 0600; give it the mode open() would have
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -217,12 +200,12 @@ def _parse(path):
     version, kind, dtype = struct.unpack_from("<HBB", blob, 4)
     if not 1 <= version <= FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    if kind not in _EXTENT_COUNT:
+    if kind not in _KINDS:
         raise FormatError(f"{path}: unknown payload kind {kind}")
     if dtype != DTYPE_FLOAT64:
         raise FormatError(f"{path}: unsupported dtype code {dtype}")
 
-    n_extents = _EXTENT_COUNT[kind]
+    n_extents = _KINDS[kind][1]
     offset = 8
     if len(blob) < offset + 8 * n_extents + 8:
         raise FormatError(f"{path}: truncated header")
@@ -304,8 +287,8 @@ def _read_expected(path, expected_kind):
     version, kind, extents, values = _parse(path)
     if kind != expected_kind:
         raise FormatError(
-            f"{path}: expected kind {expected_kind} ({_KIND_NAMES[expected_kind]}), "
-            f"found kind {kind} ({_KIND_NAMES[kind]})"
+            f"{path}: expected kind {expected_kind} ({_KINDS[expected_kind][0]}), "
+            f"found kind {kind} ({_KINDS[kind][0]})"
         )
     return _assemble(path, version, kind, extents, values)
 

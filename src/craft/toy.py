@@ -129,10 +129,6 @@ class ToyModel:
         self.head_b = np.zeros(cfg.n_classes)
         self.adapters: dict[str, CraftAdapter] | None = None
 
-    @property
-    def mode(self) -> str:
-        return "craft-adapt" if self.adapters is not None else "full-train"
-
     def clone(self) -> "ToyModel":
         other = copy.copy(self)
         for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
@@ -393,6 +389,8 @@ def craft_finetune(
             raise ValidationError(
                 f"adapter {name} was not built from this model's stacked weights"
             )
+    tokens = _check_tokens(model, tokens)
+    labels = _check_labels(model, labels, len(tokens))
     tuned = model.clone()
     tuned.adapters = dict(adapters)
 
@@ -401,6 +399,7 @@ def craft_finetune(
         try:
             loss, g = loss_and_grads(tuned, tokens, labels)
         except ValidationError as err:
+            # the inputs were checked above, so only an overflowed adapter lands here
             raise DivergenceError(f"fine-tuning overflowed: {err}", step=step) from err
         if not np.isfinite(loss):
             raise DivergenceError("fine-tuning loss became non-finite", step=step)
@@ -408,7 +407,10 @@ def craft_finetune(
         for name in tuned.adapters:
             upstream = g["wq"] if name == "Q" else g["wv"]
             grads = grad_j(tuned.adapters[name], upstream)
-            tuned.adapters[name] = sgd_step(tuned.adapters[name], grads, eta)
+            try:
+                tuned.adapters[name] = sgd_step(tuned.adapters[name], grads, eta)
+            except DivergenceError as err:
+                raise DivergenceError(f"fine-tuning overflowed: {err}", step=step) from err
         tuned.head_w -= head_eta * g["head_w"]
         tuned.head_b -= head_eta * g["head_b"]
     return tuned, losses

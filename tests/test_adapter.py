@@ -314,6 +314,9 @@ def test_sgd_step_rejects_non_finite_gradients():
     bad[0, 0] = np.nan
     with pytest.raises(DivergenceError):
         sgd_step(a, (bad, g2, g3), 0.1)
+    # a finite gradient whose step overflows diverges too
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        sgd_step(a, grad_j(a, np.ones(a.dims)), 1e308)
     with pytest.raises(ValidationError):
         sgd_step(a, (g1, g2, g3), np.inf)
 

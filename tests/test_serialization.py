@@ -72,8 +72,9 @@ def assert_crc64_matches_reference(length, seed):
 
 
 # n = k * 2**j + delta: exact multiples of every lane width up to 2**j, one
-# byte either side, and the lengths where the 8-byte init prefix fills a lane
-# or straddles two.  Inputs below 32 KB run on 8-byte lanes, so lengths 1-7
+# byte either side, and, on 8-byte lanes, the lengths that leave 1, 7 or 8
+# data bytes after the zeros of the first lane, the bytes the all-ones init
+# is advanced over.  Inputs up to 32 KB run on 8-byte lanes, so lengths 0-7
 # are the ones below one lane.
 _LANE_BOUNDARIES = st.builds(
     lambda k, j, delta: max(0, k * 2**j + delta),
@@ -88,8 +89,11 @@ def test_crc64_matches_the_byte_loop(length, seed):
 
 
 @pytest.mark.parametrize("length", [
-    4096 * 8 - 8,       # the most 8-byte lanes
-    4096 * 8 - 7,       # one byte more: 16-byte lanes
+    4096 * 8 - 8,       # 8-byte lanes, the first one full
+    4096 * 8 - 7,       # 8-byte lanes, one data byte in the first
+    4096 * 8,           # the most 8-byte lanes
+    4096 * 8 + 1,       # one byte more: 16-byte lanes
+    4096 * 64,          # 64-byte lanes, the first one full
     4096 * 64 + 1,
     1_688_120,          # the CRC input of a 12x128x128 adapter file, ranks (4, 32, 32)
     2**21 - 1,
@@ -374,6 +378,15 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "t.crft").st_mode & 0o777 == mode
+
+
+def test_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("os.umask changes the umask of every thread")
+
+    monkeypatch.setattr(serialization.os, "umask", umask)
+    write_tensor3(tmp_path / "t.crft", np.ones((2, 2, 2)))
+    assert read_tensor3(tmp_path / "t.crft").shape == (2, 2, 2)
 
 
 def test_temp_file_is_synced_before_the_rename(tmp_path, monkeypatch):

@@ -290,6 +290,21 @@ def test_finetune_rejects_bad_eta(eta):
         head_only_finetune(small_model(), *SMALL_TRAIN, eta=eta, steps=1)
 
 
+@pytest.mark.parametrize("bad", ["token", "label"])
+def test_finetune_reports_bad_input_as_a_validation_error(bad):
+    tokens, labels = (np.array(x) for x in SMALL_TRAIN)
+    if bad == "token":
+        tokens[0, 0] = SMALL_CFG.vocab_size
+    else:
+        labels[0] = SMALL_CFG.n_classes
+    m = small_model()
+    adapters = build_adapters(m, TuckerRanks(1, 2, 2))
+    with pytest.raises(ValidationError):
+        craft_finetune(m, adapters, tokens, labels, eta=0.1, steps=1)
+    with pytest.raises(ValidationError):
+        head_only_finetune(m, tokens, labels, eta=0.1, steps=1)
+
+
 def test_divergence_is_reported_with_step():
     task = SyntheticTask(seed=6, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=6), task, max_steps=60)
@@ -298,6 +313,16 @@ def test_divergence_is_reported_with_step():
             pytest.raises(DivergenceError) as excinfo:
         craft_finetune(m, adapters, *train_set(m, task.flipped()), eta=1e6, steps=50)
     assert excinfo.value.step is not None
+
+
+def test_overflowing_update_is_reported_with_step():
+    m = small_model()
+    # a large head gives adaptation gradients above 1, so eta * g overflows at once
+    m.head_w = 100.0 * np.random.default_rng(3).standard_normal(m.head_w.shape)
+    adapters = build_adapters(m, TuckerRanks(1, 2, 2))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
+        craft_finetune(m, adapters, *SMALL_TRAIN, eta=1e308, steps=3)
+    assert excinfo.value.step == 0
 
 
 def test_pretrain_failure_is_explicit():
