@@ -19,16 +19,17 @@ the reader skips that block, since the adapter derives it from the factors.
 The checksum is CRC-64/XZ (polynomial 0x42F0E1EBA9EA3693, reflected,
 init and xor-out all-ones); its definition, the check vector and every file
 byte are the same as when it was computed one byte at a time.  ``crc64``
-splits its input into up to 4096 equal contiguous lanes and advances all of
-their registers together, one 8-byte word per step through eight 256-entry
-tables.  It then merges neighbouring lanes pairwise with the tables of
-"advance over 2**k zero bytes", built by squaring the one-byte step as far
-as the input needs.  Every lane starts from a zero register; since the CRC
-is affine in its initial register, the all-ones init enters as its own
-advance over the first lane's data bytes, xored into that lane.  Writes go
-to a temporary file in the target directory, created with mode 0666 less
-the umask, which is flushed to disk with ``fsync`` and then renamed into
-place, so a crash or power loss leaves either the old file or the new one.
+runs up to 4096 word-interleaved lanes (lane i takes 8-byte words i, i + L,
+i + 2L, ...): per row of L words, all registers advance at once through
+eight 256-entry tables of "advance over 2**k zero bytes", built by squaring
+the one-byte step, and the row is xored in; the lanes then merge pairwise.
+The CRC is affine in its initial register, so per-piece registers combine
+by linearity, as in zlib's ``crc32_combine``, and the all-ones init enters
+the same way.  A write checksums the header and each block where they lie
+and streams them to the file: no full-file buffer is built.  Writes go to a
+temporary file in the target directory, created with mode 0666 less the
+umask, which is flushed to disk with ``fsync`` and then renamed into place,
+so a crash or power loss leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ _KINDS = {
 
 _CRC64_POLY_REFLECTED = 0xC96C5795D7870F42
 _ALL_ONES = 0xFFFFFFFFFFFFFFFF
-# inputs past 32 KB get wider lanes, not more of them, so the register arrays
-# stay within 32 KB whatever the input size
+# inputs past 32 KB get more rows, not more lanes, so the register arrays and
+# the one copied row stay within 32 KB whatever the input size
 _MAX_LANES = 4096
+# where each byte position's 256 entries start in a flattened 8 x 256 table set
+_TABLE_OFFSETS = np.arange(0, 8 * 256, 256)
 
 
 def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
@@ -73,10 +76,13 @@ def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
     octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8).reshape(-1, 8)
     if len(octets) < 256:
         # few registers: one gather costs less than eight calls
-        return np.bitwise_xor.reduce(tables[np.arange(8), octets], axis=1)
-    out = tables[0][octets[:, 0]]
+        return np.bitwise_xor.reduce(tables.reshape(-1)[octets + _TABLE_OFFSETS], axis=1)
+    # one contiguous index per byte position: gathers through strided uint8
+    # indices convert them element by element
+    index = np.ascontiguousarray(octets.T, dtype=np.intp)
+    out = tables[0][index[0]]
     for i in range(1, 8):
-        out ^= tables[i][octets[:, i]]
+        out ^= tables[i][index[i]]
     return out
 
 
@@ -97,60 +103,59 @@ def _zero_advance(level: int) -> np.ndarray:
     return tables
 
 
-def crc64(data) -> int:
-    """CRC-64/XZ of ``data`` (bytes, bytearray or memoryview)."""
-    arr = np.frombuffer(data, dtype=np.uint8)
+def _advance(reg: int, nbytes: int) -> int:
+    """Register ``reg`` advanced over ``nbytes`` zero bytes, one table per set bit."""
+    regs = np.array([reg], dtype="<u8")
+    for level in range(nbytes.bit_length()):
+        if nbytes >> level & 1:
+            regs = _apply(_zero_advance(level), regs)
+    return int(regs[0])
+
+
+def _register(arr: np.ndarray) -> int:
+    """Register of the reflected CRC over the bytes ``arr`` from a zero register."""
     n = len(arr)
-    width = max(8, 1 << (-(-n // _MAX_LANES) - 1).bit_length())
-    lanes = max(1, -(-n // width))
-    # Equal lanes tile zeros + data and start from a zero register (zeros keep
-    # it zero); only the first lane, ending in ``cut`` data bytes, is a copy.
-    cut = n - (lanes - 1) * width
-    head = np.zeros(width, dtype=np.uint8)
-    head[width - cut:] = arr[:cut]
-    head = head.view("<u8")
-    columns = width // 8
-    body = arr[cut:].view("<u8").reshape(lanes - 1, columns)
-    # each step takes one 8-byte word per lane: xor it in, then advance 8 zero bytes
-    step = _zero_advance(3)
-    regs = np.zeros(lanes, dtype="<u8")
-    for j in range(columns):
-        regs[0] ^= head[j]
-        regs[1:] ^= body[:, j]
-        regs = _apply(step, regs)
-    # the register is affine in its initial value: the all-ones init adds its
-    # own advance over the first lane's ``cut`` data bytes
-    init = np.array([_ALL_ONES], dtype="<u8")
-    for level in range(cut.bit_length()):
-        if cut >> level & 1:
-            init = _apply(_zero_advance(level), init)
-    regs[0] ^= init[0]
-    # merge neighbours pairwise; leading zero lanes pad the count to a power of two
-    levels = (lanes - 1).bit_length()
-    regs = np.concatenate([np.zeros((1 << levels) - lanes, dtype="<u8"), regs])
-    for level in range(width.bit_length() - 1, width.bit_length() - 1 + levels):
+    # L lanes: the largest power of two at most n // 8 words, and at most 4096
+    lanes = max(1, min(_MAX_LANES, 1 << (n // 8).bit_length() >> 1))
+    log_lanes = lanes.bit_length() - 1
+    # Lane i takes words i, i + L, i + 2L, ... of the input left-padded with
+    # zeros to whole rows of L words (leading zeros keep a zero register
+    # zero); only the first row, holding the padding, is a copy.
+    row = 8 * lanes
+    cut = n - (max(1, -(-n // row)) - 1) * row
+    head = np.zeros(row, dtype=np.uint8)
+    head[row - cut:] = arr[:cut]
+    regs = head.view("<u8")
+    # each later row: advance the registers over one row of zero bytes, xor it in
+    step = _zero_advance(3 + log_lanes)
+    for words in arr[cut:].view("<u8").reshape(-1, lanes):
+        regs = _apply(step, regs) ^ words
+    # merge neighbouring lanes pairwise, then advance past the last word
+    for level in range(3, 3 + log_lanes):
         regs = _apply(_zero_advance(level), regs[0::2]) ^ regs[1::2]
-    return int(regs[0]) ^ _ALL_ONES
+    return _advance(int(regs[0]), 8)
 
 
-def _float_block(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def crc64(*buffers) -> int:
+    """CRC-64/XZ of the concatenated ``buffers`` (bytes, bytearray, memoryview or arrays)."""
+    # reg(A || B) = advance(reg(A), len(B)) ^ (register of B from zero); the
+    # all-ones init is the register before the first piece
+    reg = _ALL_ONES
+    for buf in buffers:
+        arr = np.frombuffer(buf, dtype=np.uint8)
+        reg = _advance(reg, len(arr)) ^ _register(arr)
+    return reg ^ _ALL_ONES
 
 
-def _header(kind: int, extents) -> bytes:
-    head = MAGIC + struct.pack("<HBB", FORMAT_VERSION, kind, DTYPE_FLOAT64)
-    return head + struct.pack(f"<{len(extents)}Q", *extents)
-
-
-def atomic_write(path, blob: bytes) -> None:
-    """Write bytes via a temp file in the target directory, then rename."""
+def atomic_write(path, *buffers) -> None:
+    """Write the concatenated buffers via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"{os.urandom(8).hex()}.tmp")
     # created the way open() creates files: mode 0666 less the process umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(buffers)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -161,8 +166,11 @@ def atomic_write(path, blob: bytes) -> None:
 
 
 def _write(path, kind: int, extents, blocks) -> None:
-    body = _header(kind, extents) + b"".join(_float_block(b) for b in blocks)
-    atomic_write(path, body + struct.pack("<Q", crc64(body)))
+    # each block goes out from the array's own memory: no full-file buffer
+    pieces = [MAGIC + struct.pack(f"<HBB{len(extents)}Q", FORMAT_VERSION, kind, DTYPE_FLOAT64,
+                                  *extents)]
+    pieces += [np.ascontiguousarray(b, dtype="<f8") for b in blocks]
+    atomic_write(path, *pieces, struct.pack("<Q", crc64(*pieces)))
 
 
 def write_tensor3(path, t) -> None:

@@ -77,12 +77,6 @@ class SyntheticTask:
         return SyntheticTask(other, self.seed, self.train_size, self.eval_size)
 
 
-def majority_label(tokens: np.ndarray, vocab_size: int) -> np.ndarray:
-    """1 when more than half the tokens lie in the upper vocabulary half."""
-    upper = np.sum(tokens >= vocab_size // 2, axis=-1)
-    return (upper * 2 > tokens.shape[-1]).astype(np.int64)
-
-
 def make_dataset(task: SyntheticTask, cfg: ToyConfig, split: str) -> tuple[np.ndarray, np.ndarray]:
     """Token/label arrays for ``split`` in {"train", "eval"}; exact 50/50 balance.
 

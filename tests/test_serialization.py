@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft import serialization
@@ -71,11 +71,12 @@ def assert_crc64_matches_reference(length, seed):
     assert crc64(memoryview(data)[1:-2]) == expected
 
 
-# n = k * 2**j + delta: exact multiples of every lane width up to 2**j, one
-# byte either side, and, on 8-byte lanes, the lengths that leave 1, 7 or 8
-# data bytes after the zeros of the first lane, the bytes the all-ones init
-# is advanced over.  Inputs up to 32 KB run on 8-byte lanes, so lengths 0-7
-# are the ones below one lane.
+# n = k * 2**j + delta.  crc64 runs L lanes, L the largest power of two at
+# most n // 8 and 4096, over rows of L words, and copies only the first row,
+# zero-padded in front.  k * 2**j gives whole words (j >= 3), and for k a
+# power of two whole rows and the lengths where L doubles; delta puts one
+# byte either side of those, and 7-9 bytes short, about one word of padding.
+# Lengths 0-7 are below one word.
 _LANE_BOUNDARIES = st.builds(
     lambda k, j, delta: max(0, k * 2**j + delta),
     st.integers(1, 4095), st.integers(0, 5), st.sampled_from([-9, -8, -7, -1, 0, 1]))
@@ -89,17 +90,51 @@ def test_crc64_matches_the_byte_loop(length, seed):
 
 
 @pytest.mark.parametrize("length", [
-    4096 * 8 - 8,       # 8-byte lanes, the first one full
-    4096 * 8 - 7,       # 8-byte lanes, one data byte in the first
-    4096 * 8,           # the most 8-byte lanes
-    4096 * 8 + 1,       # one byte more: 16-byte lanes
-    4096 * 64,          # 64-byte lanes, the first one full
+    4096 * 8 - 8,       # 2048 lanes, a first row one word short of full
+    4096 * 8 - 7,       # 2048 lanes, one data byte in the first word
+    4096 * 8 - 1,       # 2048 lanes, a first row one byte short of full
+    4096 * 8,           # the first length on 4096 lanes: one full row
+    4096 * 8 + 1,       # one byte more: one data byte in the first row
+    4096 * 8 * 2 - 1,   # two rows, one byte short
+    4096 * 8 * 2,
+    4096 * 8 * 2 + 1,
+    4096 * 64,          # eight full rows
     4096 * 64 + 1,
     1_688_120,          # the CRC input of a 12x128x128 adapter file, ranks (4, 32, 32)
+    4096 * 8 * 52 - 1,  # the row count of that file, one byte either side
+    4096 * 8 * 52 + 1,
     2**21 - 1,
 ])
 def test_crc64_matches_the_byte_loop_on_large_inputs(length):
     assert_crc64_matches_reference(length, seed=length)
+
+
+@pytest.mark.parametrize("length", [8 * 2**j + d for j in range(13) for d in (-1, 0, 1)])
+def test_crc64_matches_the_byte_loop_where_the_lane_count_doubles(length):
+    # n // 8 = 2**j words: 2**j lanes from here, half as many one byte short
+    assert_crc64_matches_reference(length, seed=length)
+
+
+@st.composite
+def _pieces(draw):
+    data = draw(st.binary(max_size=2000))
+    cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
+    return [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
+
+
+_ROW = 8 * 4096  # one row of the largest lane count
+
+
+@given(pieces=_pieces())
+@example(pieces=[b"", b"\x01" * (_ROW - 5), b"", bytes(range(256)) * 130, b"x"])  # spans a row
+@settings(max_examples=150, deadline=None)
+def test_crc64_of_pieces_is_crc64_of_the_joined_input(pieces):
+    # the registers of the pieces, each from zero, combine by linearity
+    joined = b"".join(pieces)
+    expected = reference_crc64(joined)
+    assert crc64(*pieces) == expected
+    assert crc64(*(memoryview(p) for p in pieces)) == expected
+    assert crc64(joined) == expected
 
 
 @given(length=st.integers(2**20, 2_100_000), seed=st.integers(0, 2**32 - 1))

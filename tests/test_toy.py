@@ -12,11 +12,11 @@ from craft.toy import (
     forward,
     head_only_finetune,
     loss_and_grads,
-    majority_label,
     make_dataset,
     pretrain,
 )
 from craft.tucker import TuckerRanks
+from toy_reference import majority_label
 
 SMALL_CFG = ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=1)
 SMALL_TASK = SyntheticTask(seed=1, train_size=16, eval_size=16)

@@ -4,6 +4,7 @@
 backward pass (with the original 3-D broadcast forward pass), and
 ``reference_head_only_finetune`` the original baseline loop, which runs a full
 forward/backward pass per step and reads only the head gradients.
+``majority_label`` states the base task's labelling rule directly.
 """
 
 import numpy as np
@@ -15,6 +16,12 @@ from craft.toy import (
     loss_and_grads,
     make_dataset,
 )
+
+
+def majority_label(tokens, vocab_size):
+    """1 when more than half the tokens lie in the upper vocabulary half."""
+    upper = np.sum(tokens >= vocab_size // 2, axis=-1)
+    return (upper * 2 > tokens.shape[-1]).astype(np.int64)
 
 
 def reference_softmax_rows(scores):
