@@ -30,6 +30,17 @@ and streams them to the file: no full-file buffer is built.  Writes go to a
 temporary file in the target directory, created with mode 0666 less the
 umask, which is flushed to disk with ``fsync`` and then renamed into place,
 so a crash or power loss leaves either the old file or the new one.
+
+A block's register from zero does not depend on where it sits in the file,
+so ``crc64`` keeps it for an array whose memory no reference can write
+(``tensor.is_immutable``), found by the array's identity and dropped when
+the array is freed.  An adapter's frozen blocks are shared across update
+steps, so they are checksummed once, and a later write checksums only the
+header and the ``J`` blocks.  File bytes and the CRC definition do not
+change, and reads checksum every byte.  Frozen memory must never change: a
+write through a writable view taken before the array was frozen breaks
+that contract, and a file written from the array after its first checksum
+then fails its checksum on read.
 """
 
 from __future__ import annotations
@@ -38,11 +49,12 @@ import functools
 import math
 import os
 import struct
+import weakref
 
 import numpy as np
 
 from .errors import FormatError
-from .tensor import matrix, tensor3
+from .tensor import is_immutable, matrix, tensor3
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
@@ -136,14 +148,33 @@ def _register(arr: np.ndarray) -> int:
     return _advance(int(regs[0]), 8)
 
 
+# id(array) -> (weak reference to it, its register from zero), for arrays whose
+# memory no reference can write; an entry leaves when its array is freed.
+# Threads that race on one array at worst compute its register twice.
+_REGISTERS: dict[int, tuple[weakref.ref, int]] = {}
+
+
+def _piece_register(buf, octets: np.ndarray) -> int:
+    """Register of ``buf`` (bytes ``octets``) from zero, computed once per immutable array."""
+    if not (isinstance(buf, np.ndarray) and is_immutable(buf)):
+        return _register(octets)
+    key = id(buf)
+    entry = _REGISTERS.get(key)
+    if entry is not None and entry[0]() is buf:
+        return entry[1]
+    reg = _register(octets)
+    _REGISTERS[key] = (weakref.ref(buf, lambda _, key=key: _REGISTERS.pop(key, None)), reg)
+    return reg
+
+
 def crc64(*buffers) -> int:
     """CRC-64/XZ of the concatenated ``buffers`` (bytes, bytearray, memoryview or arrays)."""
     # reg(A || B) = advance(reg(A), len(B)) ^ (register of B from zero); the
     # all-ones init is the register before the first piece
     reg = _ALL_ONES
     for buf in buffers:
-        arr = np.frombuffer(buf, dtype=np.uint8)
-        reg = _advance(reg, len(arr)) ^ _register(arr)
+        octets = np.frombuffer(buf, dtype=np.uint8)
+        reg = _advance(reg, len(octets)) ^ _piece_register(buf, octets)
     return reg ^ _ALL_ONES
 
 
@@ -232,10 +263,7 @@ def _parse(path):
     payload = view[offset:-8]
     if len(payload) % 8 != 0:
         raise FormatError(f"{path}: payload length {len(payload)} not a multiple of 8")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return version, kind, extents, values
+    return version, kind, extents, np.frombuffer(payload, dtype="<f8")
 
 
 def _take(values: np.ndarray, cursor: int, shape) -> tuple[np.ndarray, int]:
@@ -248,6 +276,8 @@ def _assemble(path, version, kind, extents, values):
         expected = math.prod(extents)
         if values.size != expected:
             raise FormatError(f"{path}: payload size {values.size} != extents product {expected}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: payload contains non-finite values")
         # a read Tensor3 or Matrix is the caller's to modify
         return values.reshape(extents).copy()
 
@@ -275,6 +305,7 @@ def _assemble(path, version, kind, extents, values):
     for shape in blocks:
         arr, cursor = _take(values, cursor, shape)
         arrays.append(arr)
+    # the frozen blocks reject non-finite values as they are built
     try:
         if kind == KIND_TUCKER_FACTORS:
             core, u1, u2, u3 = arrays

@@ -54,16 +54,39 @@ def matrix(data) -> np.ndarray:
     return _as_finite_float(data, 2, "matrix")
 
 
+def is_immutable(arr: np.ndarray) -> bool:
+    """Whether no reference can write the memory of ``arr``.
+
+    ``arr`` and every array on its ``.base`` chain are read-only, and the
+    memory belongs to the last of them or to ``bytes`` (directly or through
+    a ``memoryview``).  A writable view taken before the owner was frozen,
+    or a write flag set again, goes unseen and breaks the contract.
+    """
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    if isinstance(arr, memoryview):
+        arr = arr.obj
+    return arr is None or isinstance(arr, bytes)
+
+
 def frozen_array(data, ndim: int, what: str) -> np.ndarray:
-    """Validated float64 array with the write flag cleared; shares already-frozen input."""
-    already_frozen = (
+    """Validated, read-only, C-contiguous float64 array.
+
+    Such an array that passes :func:`is_immutable` is shared, so update
+    steps keep the frozen buffers by reference; anything else, a read-only
+    view of a writable array included, is copied.  A frozen buffer must
+    never change: a file written from it after a change made through a
+    writable view taken before it was frozen fails its checksum on read.
+    """
+    shareable = (
         isinstance(data, np.ndarray)
         and data.dtype == np.float64
         and data.flags["C_CONTIGUOUS"]
-        and not data.flags.writeable
+        and is_immutable(data)
     )
-    # share already-frozen buffers so update steps keep the originals by reference
-    arr = data if already_frozen else np.array(data, dtype=np.float64, order="C")
+    arr = data if shareable else np.array(data, dtype=np.float64, order="C")
     arr = _as_finite_float(arr, ndim, what)
     arr.setflags(write=False)
     return arr

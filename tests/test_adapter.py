@@ -306,6 +306,18 @@ def test_sgd_step_preserves_frozen_buffers():
     assert current.factors is a.factors
 
 
+def test_frozen_w_does_not_follow_a_writable_base():
+    rng = np.random.default_rng(20)
+    a, w = random_adapter(rng)
+    base = np.array(w)
+    view = base.view()
+    view.setflags(write=False)
+    b = CraftAdapter(view, a.factors, *a.j_matrices)
+    base += 1.0
+    assert b.w_original.tobytes() == w.tobytes()
+    assert not np.shares_memory(b.w_original, base)
+
+
 def test_sgd_step_rejects_non_finite_gradients():
     rng = np.random.default_rng(17)
     a, _ = random_adapter(rng)

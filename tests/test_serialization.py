@@ -1,6 +1,8 @@
 import hashlib
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft import serialization
-from craft.adapter import CraftAdapter, InitConfig, init_adapter
+from craft.adapter import CraftAdapter, InitConfig, init_adapter, sgd_step
 from craft.errors import FormatError
 from craft.serialization import (
     KIND_CRAFT_ADAPTER,
@@ -287,6 +289,121 @@ def test_every_single_byte_flip_of_an_adapter_file_is_detected(tmp_path_factory,
             read_file(path)
 
 
+def cold_adapter_bytes(a):
+    """A kind-4 file checksummed from fresh writable copies: no stored register applies."""
+    blocks = [np.array(b) for b in adapter_blocks(a)]
+    header = b"CRFT" + struct.pack("<HBB6Q", 2, KIND_CRAFT_ADAPTER, 1, *(a.dims + a.ranks.as_tuple()))
+    checksum = struct.pack("<Q", crc64(header, *blocks))
+    return header + b"".join(b.tobytes() for b in blocks) + checksum
+
+
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), steps=st.integers(1, 4), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_warm_writes_equal_cold_writes(tmp_path_factory, dims, steps, data):
+    ranks = tuple(data.draw(st.integers(1, d)) for d in dims)
+    seed = data.draw(st.integers(0, 2**31))
+    a = sample_adapter(seed, dims, ranks)
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("warm") / "a.crft"
+    for _ in range(steps + 1):
+        write_craft_adapter(path, a)
+        assert path.read_bytes() == cold_adapter_bytes(a)
+        assert_same_adapter(read_craft_adapter(path), a)
+        a = sgd_step(a, [rng.standard_normal(j.shape) for j in a.j_matrices], 0.1)
+    # every write after the first found the frozen blocks' registers stored
+    for block in adapter_blocks(a)[:5]:
+        assert serialization._REGISTERS[id(block)][0]() is block
+
+
+def test_a_warm_write_checksums_only_the_header_and_the_js(tmp_path, monkeypatch):
+    sizes = []
+    register = serialization._register
+
+    def counting(octets):
+        sizes.append(len(octets))
+        return register(octets)
+
+    monkeypatch.setattr(serialization, "_register", counting)
+    a = sample_adapter(5, (4, 6, 5), (2, 3, 2))
+    write_craft_adapter(tmp_path / "a.crft", a)
+    assert len(sizes) == 9  # header and eight blocks
+    sizes.clear()
+    write_craft_adapter(tmp_path / "a.crft", sgd_step(a, [np.ones_like(j) for j in a.j_matrices], 0.1))
+    assert sizes == [HEADER6, 8 * 2 * 2, 8 * 3 * 3, 8 * 2 * 2]
+
+
+def test_crc64_of_a_writable_array_follows_its_contents():
+    arr = np.arange(64.0)
+    first = crc64(arr)
+    arr[5] = -1.0
+    assert crc64(arr) == reference_crc64(arr.tobytes()) != first
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("make", [
+    lambda mem: _read_only(np.frombuffer(mem, dtype="<f8")[1:]),
+    lambda mem: np.frombuffer(memoryview(mem).toreadonly(), dtype="<f8"),
+    lambda mem: _read_only(np.frombuffer(mem, dtype="<f8")),
+], ids=["view-of-writable-array", "read-only-memoryview-of-bytearray", "read-only-array-over-bytearray"])
+def test_crc64_never_stores_the_register_of_a_read_only_view_of_writable_memory(make):
+    memory = bytearray(np.arange(32.0).tobytes())
+    piece = make(memory)
+    assert not piece.flags.writeable
+    stored = len(serialization._REGISTERS)
+    first = crc64(piece)
+    assert len(serialization._REGISTERS) == stored
+    memory[100] ^= 0xFF
+    assert crc64(piece) == reference_crc64(piece.tobytes()) != first
+
+
+def test_stored_registers_leave_with_their_arrays(tmp_path):
+    stored = len(serialization._REGISTERS)
+    for seed in range(6):
+        a = sample_adapter(seed)
+        write_craft_adapter(tmp_path / "a.crft", a)
+        assert len(serialization._REGISTERS) == stored + 8
+        del a
+    assert len(serialization._REGISTERS) == stored
+
+
+def test_stored_registers_hold_under_threads():
+    shared = sample_adapter(9)
+    expected = crc64(*(b.tobytes() for b in adapter_blocks(shared)))
+    stored = len(serialization._REGISTERS)
+    errors = []
+
+    def work(seed):
+        try:
+            for k in range(20):
+                own = adapter_blocks(sample_adapter(100 * seed + k, (2, 3, 2), (1, 2, 1)))
+                if crc64(*own) != crc64(*(b.tobytes() for b in own)):
+                    errors.append(f"thread {seed}: wrong CRC of a fresh adapter")
+                if crc64(*adapter_blocks(shared)) != expected:
+                    errors.append(f"thread {seed}: wrong CRC of the shared adapter")
+        except Exception as err:
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(serialization._REGISTERS) == stored + 8  # the shared adapter's blocks
+    del shared
+    assert len(serialization._REGISTERS) == stored
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     a = sample_adapter()
     p1 = tmp_path / "a1.crft"
@@ -400,6 +517,21 @@ def test_non_finite_payload_rejected(tmp_path):
     body += struct.pack("<3Q", 2, 2, 2)
     body += np.ascontiguousarray(values, dtype="<f8").tobytes()
     path = tmp_path / "inf.crft"
+    path.write_bytes(body + struct.pack("<Q", crc64(body)))
+    with pytest.raises(FormatError, match="non-finite"):
+        read_file(path)
+
+
+@pytest.mark.parametrize("write,value", [
+    (write_matrix, np.ones((2, 3))),
+    (write_tucker_factors, sample_adapter().factors),
+    (write_craft_adapter, sample_adapter()),
+], ids=["matrix", "factors", "adapter"])
+def test_non_finite_blocks_rejected_for_every_kind(tmp_path, write, value):
+    path = tmp_path / "x.crft"
+    write(path, value)
+    # the last scalar becomes a nan, under a valid checksum
+    body = path.read_bytes()[:-16] + struct.pack("<d", np.nan)
     path.write_bytes(body + struct.pack("<Q", crc64(body)))
     with pytest.raises(FormatError, match="non-finite"):
         read_file(path)

@@ -8,6 +8,7 @@ from craft.errors import ValidationError
 from craft.tensor import (
     fold,
     frobenius_norm,
+    is_immutable,
     matrix,
     mode_n_product,
     stack_layers,
@@ -241,3 +242,23 @@ def test_constructors_reject_wrong_ndim():
 def test_constructors_reject_zero_extent():
     with pytest.raises(ValidationError):
         tensor3(np.zeros((2, 0, 2)))
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("make,immutable", [
+    (lambda: _frozen(np.zeros(4)), True),
+    (lambda: _frozen(np.zeros(4))[1:].reshape(3, 1), True),
+    (lambda: np.frombuffer(bytes(32)), True),
+    (lambda: np.frombuffer(memoryview(bytes(40))[8:]), True),
+    (lambda: np.zeros(4), False),
+    (lambda: _frozen(np.zeros(4)[1:]), False),
+    (lambda: _frozen(np.frombuffer(bytearray(32))), False),
+    (lambda: np.frombuffer(memoryview(bytearray(32)).toreadonly()), False),
+], ids=["owner", "view-of-owner", "bytes", "memoryview-of-bytes", "writable",
+        "view-of-writable", "bytearray", "memoryview-of-bytearray"])
+def test_is_immutable_needs_read_only_memory_at_the_root(make, immutable):
+    assert is_immutable(make()) is immutable
