@@ -18,12 +18,12 @@ shares the frozen (read-only) buffers of the old one.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, is_finite_real, is_integer
+from .errors import DivergenceError, ValidationError, check_int, check_real
 from .tucker import TuckerFactors, TuckerRanks, expand, hosvd, reconstruct
 from .tensor import frozen_array, mode_n_product, tensor3
 
@@ -38,11 +38,8 @@ class InitConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "sigma"):
-            v = getattr(self, name)
-            if not is_finite_real(v) or v < 0:
-                raise ValidationError(f"{name} must be a finite real >= 0, got {v!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            check_real(getattr(self, name), name, low=0)
+        check_int(self.seed, "seed", low=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +116,7 @@ def adapted_tensor(a: CraftAdapter) -> np.ndarray:
 
 def extract_layer(a: CraftAdapter, layer: int) -> np.ndarray:
     """Adapted matrix of one layer (1-based), bitwise ``adapted_tensor(a)[layer - 1]``."""
-    n_layers = a.dims[0]
-    if not is_integer(layer) or not 1 <= layer <= n_layers:
-        raise ValidationError(f"layer must be in [1, {n_layers}], got {layer!r}")
+    layer = check_int(layer, "layer", 1, a.dims[0])
     f = a.factors
     return f.u2 @ _core(a)[layer - 1] @ f.u3.T + a.w_original[layer - 1]
 
@@ -150,29 +145,26 @@ def grad_j(a: CraftAdapter, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def sgd_step(a: CraftAdapter, grads, eta: float) -> CraftAdapter:
-    """One plain gradient step on the ``jN`` matrices; frozen buffers are shared."""
-    if not is_finite_real(eta):
-        raise ValidationError(f"eta must be a finite real, got {eta!r}")
+    """One plain gradient step on the ``jN``; the frozen buffers are shared unchecked."""
+    eta = check_real(eta, "eta")
     if len(grads) != 3:
         raise ValidationError(f"expected three gradient matrices, got {len(grads)}")
-    new_js = {}
+    stepped = copy.copy(a)
     for n, (j, g) in enumerate(zip(a.j_matrices, grads), start=1):
-        g = np.asarray(g, dtype=np.float64)
+        g = np.ascontiguousarray(g, dtype=np.float64)
         if g.shape != j.shape:
             raise ValidationError(f"gradient {n} has shape {g.shape}, expected {j.shape}")
         new_j = j - eta * g
         # covers a non-finite gradient and a step that overflows alike
         if not np.isfinite(new_j).all():
             raise DivergenceError(f"update of j{n} contains non-finite entries")
-        new_js[f"j{n}"] = new_j
-    return dataclasses.replace(a, **new_js)
+        new_j.setflags(write=False)
+        object.__setattr__(stepped, f"j{n}", new_j)
+    return stepped
 
 
 def trainable_param_count(ranks: TuckerRanks, n_projections: int) -> int:
     """Total trainable entries of the ``jN`` matrices across projection types."""
-    if not is_integer(n_projections) or n_projections < 1:
-        raise ValidationError(
-            f"n_projections must be a positive integer, got {n_projections!r}"
-        )
+    n_projections = check_int(n_projections, "n_projections")
     r1, r2, r3 = ranks.as_tuple()
-    return int(n_projections) * (r1 * r1 + r2 * r2 + r3 * r3)
+    return n_projections * (r1 * r1 + r2 * r2 + r3 * r3)

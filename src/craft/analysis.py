@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adapter import trainable_param_count
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, check_int
 from .linalg import truncated_svd
 from .tensor import matrix
 from .tucker import TuckerRanks, compression_counts
@@ -72,13 +72,12 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
                     f"layer {idx}: projection {name} has {mats[name].shape[1]} "
                     f"columns, expected {d_in}"
                 )
-        if not is_integer(k) or not 1 <= k <= d_in:
-            raise ValidationError(f"k must be in [1, {d_in}], got {k!r}")
+        k = check_int(k, "k", 1, d_in)
 
         pooled = np.vstack([mats[name] for name in PROJECTIONS])
         mean = pooled.mean(axis=0)
         centered = pooled - mean
-        svd = truncated_svd(centered.T, int(k))
+        svd = truncated_svd(centered.T, k)
         basis = svd.left_vectors
         total = float(np.sum(centered * centered))
         captured = float(np.sum(svd.singular_values ** 2))
@@ -89,11 +88,11 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
             coords = (mats[name] - mean) @ basis
             sigma[name] = float(np.sqrt(np.mean(np.sum(coords * coords, axis=1))))
         reports.append(LayerDispersion(
-            layer=idx, k=int(k), sigma=sigma,
+            layer=idx, k=k, sigma=sigma,
             explained_variance_ratio=min(ratio, 1.0),
             pooled_mean=mean, basis=basis,
         ))
-    return DispersionReport(k=int(k), layers=tuple(reports))
+    return DispersionReport(k=k, layers=tuple(reports))
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,9 @@ def param_scaling(
     for m in methods:
         if m not in SCALING_METHODS:
             raise ValidationError(f"method must be one of {SCALING_METHODS}, got {m!r}")
-    if not is_integer(d) or d < 1:
-        raise ValidationError(f"d must be a positive integer, got {d!r}")
-    if not is_integer(lora_rank) or lora_rank < 1:
-        raise ValidationError(f"lora_rank must be a positive integer, got {lora_rank!r}")
-    if not is_integer(n_projections) or n_projections < 1:
-        raise ValidationError(f"n_projections must be positive, got {n_projections!r}")
+    d = check_int(d, "d")
+    lora_rank = check_int(lora_rank, "lora_rank")
+    n_projections = check_int(n_projections, "n_projections")
     rows = []
     for method in methods:
         label = (
@@ -160,12 +156,11 @@ def param_scaling(
             else f"r={lora_rank}" if method != "full" else "-"
         )
         for n_layers in layer_counts:
-            if not is_integer(n_layers) or n_layers < 1:
-                raise ValidationError(f"layer counts must be positive, got {n_layers!r}")
+            n_layers = check_int(n_layers, "layer_counts")
             rows.append(ScalingRow(
-                method=method, n_layers=int(n_layers), d=int(d), rank_label=label,
-                params=method_param_count(method, int(n_layers), int(d),
-                                          craft_ranks, int(lora_rank), int(n_projections)),
+                method=method, n_layers=n_layers, d=d, rank_label=label,
+                params=method_param_count(method, n_layers, d, craft_ranks,
+                                          lora_rank, n_projections),
             ))
     return ScalingTable(rows=tuple(rows))
 
@@ -188,18 +183,16 @@ def storage_report(dims, ranks: TuckerRanks, n_projections: int = 2) -> StorageR
 
     A deployment-time figure: training also holds the original tensor.
     """
-    if not is_integer(n_projections) or n_projections < 1:
-        raise ValidationError(f"n_projections must be positive, got {n_projections!r}")
+    n_projections = check_int(n_projections, "n_projections")
     dense, factor = compression_counts(dims, ranks)
-    n_p = int(n_projections)
     return StorageReport(
         dims=tuple(int(d) for d in dims),
         ranks=ranks.as_tuple(),
-        n_projections=n_p,
+        n_projections=n_projections,
         dense_per_projection=dense,
         factor_per_projection=factor,
-        dense_total=n_p * dense,
-        factor_total=n_p * factor,
+        dense_total=n_projections * dense,
+        factor_total=n_projections * factor,
         ratio=dense / factor,
         saves_storage=factor < dense,
     )

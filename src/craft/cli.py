@@ -1,8 +1,7 @@
 """Command-line surface: decompose, reconstruct, train-toy, analyze, scaling.
 
-Exit codes: 0 success, 2 parse/validation failure (files, configs,
-arguments), 3 rank violation, 4 SVD convergence failure, 5 pretraining
-failure, 6 training divergence.  Float fields in report files are printed
+Exit codes: 0 success, otherwise the ``exit_code`` of the error raised (see
+craft.errors and docs/FORMATS.md).  Float fields in report files are printed
 with repr-exact precision so identical runs produce identical bytes.
 """
 
@@ -17,16 +16,7 @@ import numpy as np
 from . import serialization as ser
 from .analysis import SCALING_METHODS, dispersion, param_scaling
 from .config import load_run_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    CraftError,
-    DivergenceError,
-    FormatError,
-    PretrainError,
-    RankError,
-    ValidationError,
-)
+from .errors import ConfigError, CraftError, FormatError
 from .tensor import stack_layers
 from .toy import (
     build_adapters,
@@ -38,17 +28,6 @@ from .toy import (
 )
 from .tucker import TuckerRanks, approximation_error, compression_counts, hosvd, reconstruct
 from .adapter import trainable_param_count
-
-EXIT_CODES = (
-    (ConfigError, 2),
-    (FormatError, 2),
-    (ValidationError, 2),
-    (RankError, 3),
-    (ConvergenceError, 4),
-    (PretrainError, 5),
-    (DivergenceError, 6),
-)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -317,12 +296,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CraftError as err:
-        for cls, code in EXIT_CODES:
-            if isinstance(err, cls):
-                print(f"error: {err}", file=sys.stderr)
-                return code
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return err.exit_code
 
 
 def entrypoint() -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, CraftError, is_finite_real, is_integer
+from .errors import ConfigError, CraftError, check_int, check_real
 from .adapter import InitConfig
 from .toy import SyntheticTask, ToyConfig
 from .tucker import TuckerRanks
@@ -80,15 +80,13 @@ class RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """The checks no type built in ``RunConfig.__post_init__`` makes."""
     # steps=0 is allowed: it freezes the adaptation for preservation checks
-    for name, low in (("steps", 0), ("pretrain_steps", 1)):
-        v = getattr(cfg, name)
-        if not is_integer(v) or v < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
-    for name in ("eta", "head_eta", "pretrain_eta"):
-        v = getattr(cfg, name)
-        if not (is_finite_real(v) or (name == "head_eta" and v is None)):
-            raise ConfigError(f"{name} must be a finite real, got {v!r}")
-    if not (is_finite_real(cfg.pretrain_target) and 0.0 < cfg.pretrain_target <= 1.0):
+    check_int(cfg.steps, "steps", low=0, error=ConfigError)
+    check_int(cfg.pretrain_steps, "pretrain_steps", error=ConfigError)
+    for name in ("eta", "pretrain_eta"):
+        check_real(getattr(cfg, name), name, error=ConfigError)
+    if cfg.head_eta is not None:
+        check_real(cfg.head_eta, "head_eta", error=ConfigError)
+    if not 0.0 < check_real(cfg.pretrain_target, "pretrain_target", error=ConfigError) <= 1.0:
         raise ConfigError(f"pretrain_target must be in (0, 1], got {cfg.pretrain_target!r}")
     if cfg.vocab_size % 2 != 0:
         raise ConfigError(f"vocab_size must be even for the majority task, got {cfg.vocab_size}")

@@ -33,11 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, is_integer
+from .errors import ConvergenceError, RankError, check_int
 from .tensor import matrix
 
-# off-diagonal mass must shrink below OFF_TOL relative to the invariant scale
+# off-diagonal mass must shrink below OFF_TOL relative to the invariant scale,
+# and every pair's squared cosine below REL_TOL (see TruncatedSVD)
 OFF_TOL = 1e-12
+REL_TOL = 1e-10
 # budget in outer sweeps, per row of the input
 SWEEP_CAP_FACTOR = 100
 # widest column block: wider blocks mean fewer, larger matrix products per
@@ -50,8 +52,11 @@ class TruncatedSVD:
     """Leading left singular vectors (columns) and singular values.
 
     ``sweeps`` counts the outer Jacobi sweeps run and ``residual`` is the
-    off-diagonal measure of the last one, ``sqrt(off) / ||m||_F^2``, at most
-    ``OFF_TOL`` (both 0 for the zero matrix).
+    absolute off-diagonal measure of the last one, ``sqrt(off) / ||m||_F^2``,
+    at most ``OFF_TOL`` (both 0 for the zero matrix).  The last sweep also saw
+    every pair of nonzero rows at a squared cosine ``g_pq^2 / (g_pp g_qq)`` of
+    at most ``REL_TOL`` (Demmel & Veselić, SIMAX 1992), which the absolute
+    measure cannot see for rows near ``OFF_TOL`` times the largest.
     """
 
     left_vectors: np.ndarray
@@ -116,30 +121,36 @@ def _pair_rotations(g: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep(b: np.ndarray, u: np.ndarray, blocks: int) -> float:
+def _sweep(b: np.ndarray, u: np.ndarray, blocks: int) -> tuple[float, float]:
     """One outer sweep over the block pairs of the rows of ``b``, in place.
 
     Rotates the rows of ``b`` and ``u`` alike.  Returns the off-diagonal mass,
     the sum of squared off-diagonal entries of every pair Gram as it stood
-    before that pair's rotations.
+    before that pair's rotations, and the largest squared cosine
+    ``g_pq^2 / (g_pp g_qq)`` among those entries, pairs with a zero diagonal
+    entry skipped.
     """
     k = b.shape[0] // blocks
     row_shift = (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
     pair_shift = _circle_shift(2 * k)
-    upper = np.arange(2 * k)[:, None] < np.arange(2 * k)
-    off = 0.0
+    p, q = np.nonzero(np.arange(2 * k)[:, None] < np.arange(2 * k))
+    off = cosine = 0.0
     # blocks - 1 rounds bring the rows back to their original order
     for _ in range(blocks - 1):
         xb = b[row_shift].reshape(blocks // 2, 2 * k, -1)
         xu = u[row_shift].reshape(blocks // 2, 2 * k, -1)
         g = xb @ xb.transpose(0, 2, 1)
         # masked sum: ||g||^2 - sum(diag^2) would cancel to rounding level
-        off += float(np.sum(np.square(g[:, upper])))
+        pairs = np.square(g[:, p, q])
+        off += float(np.sum(pairs))
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        norms = diag[:, p] * diag[:, q]
+        cosine = max(cosine, float(np.max(pairs / np.where(norms > 0.0, norms, np.inf))))
         vt = _pair_rotations(g, pair_shift).transpose(0, 2, 1)
         np.matmul(vt, xb, out=b.reshape(xb.shape))
         np.matmul(vt, xu, out=u.reshape(xu.shape))
         del xb, xu  # the next round's gathers reuse their memory
-    return off
+    return off, cosine
 
 
 def truncated_svd(m, r: int) -> TruncatedSVD:
@@ -150,8 +161,7 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     """
     a = matrix(m)
     rows, cols = a.shape
-    if not is_integer(r) or not 1 <= r <= rows:
-        raise RankError(f"r must be in [1, {rows}] for a {rows}x{cols} matrix, got {r!r}")
+    r = check_int(r, "r", 1, rows, RankError)
 
     scale = float(np.sum(a * a))  # == ||a||_F^2, invariant under the rotations
     if scale == 0.0:
@@ -169,8 +179,9 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     sweeps = 0
     while True:
         sweeps += 1
-        residual = math.sqrt(_sweep(b, u, blocks)) / scale
-        if residual <= OFF_TOL:
+        off, cosine = _sweep(b, u, blocks)
+        residual = math.sqrt(off) / scale
+        if residual <= OFF_TOL and cosine <= REL_TOL:
             break
         if sweeps >= SWEEP_CAP_FACTOR * rows:
             raise ConvergenceError(

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, check_int
 
 # axis permutation placing mode n first, remaining axes in ascending order
 _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
@@ -92,9 +92,11 @@ def frozen_array(data, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_mode(mode: int) -> None:
-    if mode not in (1, 2, 3):
-        raise ValidationError(f"mode must be 1, 2 or 3, got {mode!r}")
+def check_dims(dims) -> tuple[int, int, int]:
+    """``dims`` as three positive ``int`` extents of a Tensor3."""
+    if not hasattr(dims, "__len__") or len(dims) != 3:
+        raise ValidationError(f"dims must be three positive integers, got {dims!r}")
+    return tuple(check_int(d, "dims") for d in dims)
 
 
 def stack_layers(mats: Sequence) -> np.ndarray:
@@ -117,7 +119,7 @@ def stack_layers(mats: Sequence) -> np.ndarray:
 def unfold(t, mode: int) -> np.ndarray:
     """Mode-n unfolding of a Tensor3 (see module docstring for the layout)."""
     arr = tensor3(t)
-    _check_mode(mode)
+    mode = check_int(mode, "mode", 1, 3)
     axes = _MODE_AXES[mode]
     out = np.transpose(arr, axes).reshape(arr.shape[mode - 1], -1)
     if np.shares_memory(out, arr):
@@ -128,10 +130,8 @@ def unfold(t, mode: int) -> np.ndarray:
 def fold(m, mode: int, dims) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
     arr = matrix(m)
-    _check_mode(mode)
-    if len(dims) != 3 or not all(is_integer(d) and d >= 1 for d in dims):
-        raise ValidationError(f"dims must be three positive integers, got {dims!r}")
-    dims = tuple(int(d) for d in dims)
+    mode = check_int(mode, "mode", 1, 3)
+    dims = check_dims(dims)
     axes = _MODE_AXES[mode]
     expected = (dims[mode - 1], dims[axes[1]] * dims[axes[2]])
     if arr.shape != expected:
@@ -158,7 +158,7 @@ def mode_n_product(t, u, mode: int) -> np.ndarray:
     """
     arr = tensor3(t)
     mat = matrix(u)
-    _check_mode(mode)
+    mode = check_int(mode, "mode", 1, 3)
     if mat.shape[1] != arr.shape[mode - 1]:
         raise ValidationError(
             f"mode-{mode} product needs u with {arr.shape[mode - 1]} columns, "

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
-from .errors import DivergenceError, PretrainError, ValidationError, is_finite_real, is_integer
+from .errors import DivergenceError, PretrainError, ValidationError, check_int, check_real
 from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
@@ -44,13 +44,10 @@ class ToyConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "d_model", "vocab_size", "seq_len", "n_classes"):
-            v = getattr(self, name)
-            if not is_integer(v) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            check_int(getattr(self, name), name)
         if self.d_model % 2 != 0:
             raise ValidationError(f"d_model must be even, got {self.d_model}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_int(self.seed, "seed", low=0)
 
 
 @dataclass(frozen=True)
@@ -66,11 +63,8 @@ class SyntheticTask:
         if self.rule not in TASK_RULES:
             raise ValidationError(f"rule must be one of {TASK_RULES}, got {self.rule!r}")
         for name in ("train_size", "eval_size"):
-            v = getattr(self, name)
-            if not is_integer(v) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            check_int(getattr(self, name), name)
+        check_int(self.seed, "seed", low=0)
 
     def flipped(self) -> "SyntheticTask":
         other = "majority_flip" if self.rule == "majority" else "majority"
@@ -308,6 +302,10 @@ def pretrain(
     Raises :class:`PretrainError` when the final eval accuracy is below 0.75.
     The returned model carries the loss curve in ``model.pretrain_losses``.
     """
+    eta = check_real(eta, "eta")
+    max_steps = check_int(max_steps, "max_steps", low=0)
+    target_acc = check_real(target_acc, "target_acc")
+    eval_every = check_int(eval_every, "eval_every")
     seeds = _derived_seeds(cfg.seed)
     model = ToyModel(cfg, np.random.default_rng(seeds["model"]))
     tokens, labels = make_dataset(task, cfg, "train")
@@ -372,9 +370,9 @@ def craft_finetune(
     Full-batch descent for ``steps`` steps; returns the adapted model and the
     per-step loss curve.  The input model is left untouched.
     """
-    if not is_finite_real(eta):
-        raise ValidationError(f"eta must be a finite real, got {eta!r}")
-    head_eta = eta if head_eta is None else head_eta
+    eta = check_real(eta, "eta")
+    head_eta = eta if head_eta is None else check_real(head_eta, "head_eta")
+    steps = check_int(steps, "steps", low=0)
     for name, a in adapters.items():
         if name not in ("Q", "V"):
             raise ValidationError(f"adapter keys must be 'Q' or 'V', got {name!r}")
@@ -423,8 +421,8 @@ def head_only_finetune(
     the head trains, so the pooled features are computed once and the steps
     run logistic regression on them.
     """
-    if not is_finite_real(eta):
-        raise ValidationError(f"eta must be a finite real, got {eta!r}")
+    eta = check_real(eta, "eta")
+    steps = check_int(steps, "steps", low=0)
     tuned = model.clone()
     _, cache = forward(tuned, tokens, want_cache=True)
     pooled = cache["pooled"]

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, RankError, ValidationError, is_integer
+from .errors import ConvergenceError, RankError, ValidationError, check_int
 from .linalg import truncated_svd
-from .tensor import frobenius_norm, frozen_array, mode_n_product, tensor3, unfold
+from .tensor import check_dims, frobenius_norm, frozen_array, mode_n_product, tensor3, unfold
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -38,9 +38,8 @@ class TuckerRanks:
     r3: int
 
     def __post_init__(self):
-        for name, r in zip(("r1", "r2", "r3"), self.as_tuple()):
-            if not is_integer(r) or r < 1:
-                raise RankError(f"{name} must be a positive integer, got {r!r}")
+        for name in ("r1", "r2", "r3"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, error=RankError))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
@@ -146,9 +145,7 @@ def compression_counts(dims, ranks: TuckerRanks) -> tuple[int, int]:
     the three square adaptation matrices that ride along with a deployed
     decomposition.
     """
-    if len(dims) != 3 or not all(is_integer(d) and d >= 1 for d in dims):
-        raise ValidationError(f"dims must be three positive integers, got {dims!r}")
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     ranks.validate_for(dims)
     r1, r2, r3 = ranks.as_tuple()
     dense = dims[0] * dims[1] * dims[2]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from craft import tensor
 from craft.adapter import (
     CraftAdapter,
     InitConfig,
@@ -316,6 +317,25 @@ def test_frozen_w_does_not_follow_a_writable_base():
     base += 1.0
     assert b.w_original.tobytes() == w.tobytes()
     assert not np.shares_memory(b.w_original, base)
+
+
+def test_sgd_step_checks_only_the_new_js(monkeypatch):
+    rng = np.random.default_rng(23)
+    a, _ = random_adapter(rng)
+    # a transposed gradient still gives a C-contiguous J
+    g1, g2, g3 = grad_j(a, rng.standard_normal(a.dims))
+    grads = (g1, np.asfortranarray(g2), g3)
+    calls = []
+    real = tensor._as_finite_float
+    monkeypatch.setattr(tensor, "_as_finite_float",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    stepped = sgd_step(a, grads, 0.1)
+    assert calls == []
+    assert stepped.w_original is a.w_original
+    assert stepped.factors is a.factors
+    for j, old, g in zip(stepped.j_matrices, a.j_matrices, grads):
+        assert not j.flags.writeable and j.flags["C_CONTIGUOUS"]
+        assert np.array_equal(j, old - 0.1 * g)
 
 
 def test_sgd_step_rejects_non_finite_gradients():

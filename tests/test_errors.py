@@ -1,0 +1,94 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from craft.adapter import InitConfig, extract_layer, init_adapter, sgd_step, trainable_param_count
+from craft.analysis import dispersion, param_scaling, storage_report
+from craft.errors import RankError, ValidationError, check_int, check_real
+from craft.linalg import truncated_svd
+from craft.tensor import fold, mode_n_product, unfold
+from craft.toy import SyntheticTask, ToyConfig
+from craft.tucker import TuckerRanks, compression_counts
+from helpers import radius_construction
+
+RANKS = TuckerRanks(2, 2, 2)
+ADAPTER = init_adapter(np.random.default_rng(0).standard_normal((3, 4, 5)), RANKS, InitConfig())
+ZEROS = np.zeros((2, 3, 4))
+
+
+def _fields(base, names, error=ValidationError):
+    """Cases that rebuild the dataclass ``base`` with one field replaced."""
+    return [(f"{type(base).__name__}.{n}", lambda v, n=n: dataclasses.replace(base, **{n: v}),
+             n, error) for n in names]
+
+
+# (id, call with the value under test, parameter name, documented error);
+# 2 is a valid value of every parameter
+INTEGER_PARAMS = [
+    *_fields(ToyConfig(), ("n_layers", "d_model", "vocab_size", "seq_len", "n_classes", "seed")),
+    *_fields(SyntheticTask(), ("seed", "train_size", "eval_size")),
+    *_fields(InitConfig(), ("seed",)),
+    *_fields(RANKS, ("r1", "r2", "r3"), RankError),
+    ("truncated_svd.r", lambda v: truncated_svd(np.eye(3), v), "r", RankError),
+    ("extract_layer.layer", lambda v: extract_layer(ADAPTER, v), "layer", ValidationError),
+    ("trainable_param_count.n_projections", lambda v: trainable_param_count(RANKS, v),
+     "n_projections", ValidationError),
+    ("param_scaling.d", lambda v: param_scaling(["lora"], [2], v, RANKS), "d", ValidationError),
+    ("param_scaling.layer_counts", lambda v: param_scaling(["lora"], [v], 4, RANKS),
+     "layer_counts", ValidationError),
+    ("param_scaling.lora_rank", lambda v: param_scaling(["lora"], [2], 4, RANKS, lora_rank=v),
+     "lora_rank", ValidationError),
+    ("param_scaling.n_projections",
+     lambda v: param_scaling(["lora"], [2], 4, RANKS, n_projections=v),
+     "n_projections", ValidationError),
+    ("storage_report.n_projections", lambda v: storage_report((4, 4, 4), RANKS, v),
+     "n_projections", ValidationError),
+    ("storage_report.dims", lambda v: storage_report((4, v, 4), RANKS), "dims", ValidationError),
+    ("dispersion.k", lambda v: dispersion([radius_construction()], v), "k", ValidationError),
+    ("fold.dims", lambda v: fold(np.zeros((2, 12)), 1, (v, 3, 4)), "dims", ValidationError),
+    ("compression_counts.dims", lambda v: compression_counts((4, 4, v), RANKS), "dims",
+     ValidationError),
+    ("unfold.mode", lambda v: unfold(ZEROS, v), "mode", ValidationError),
+    ("fold.mode", lambda v: fold(np.zeros((3, 8)), v, (2, 3, 4)), "mode", ValidationError),
+    ("mode_n_product.mode", lambda v: mode_n_product(ZEROS, np.eye(3), v), "mode",
+     ValidationError),
+]
+
+REAL_PARAMS = [
+    *_fields(InitConfig(), ("epsilon", "sigma")),
+    ("sgd_step.eta", lambda v: sgd_step(ADAPTER, [np.zeros((2, 2))] * 3, v), "eta",
+     ValidationError),
+]
+
+
+def _cases(params, bad_values):
+    return [pytest.param(call, name, error, bad, id=f"{pid}-{bad!r}")
+            for pid, call, name, error in params for bad in bad_values]
+
+
+@pytest.mark.parametrize("call,name,error,bad", [
+    *_cases(INTEGER_PARAMS, (True, 2.5, "3", None)),
+    *_cases(REAL_PARAMS, (True, "3", None, np.nan)),
+])
+def test_bad_argument_raises_the_documented_error_naming_it(call, name, error, bad):
+    with pytest.raises(error) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=pid) for pid, call, _, _ in INTEGER_PARAMS + REAL_PARAMS
+])
+def test_numpy_integer_argument_is_accepted(call):
+    call(np.int64(2))
+
+
+def test_checks_return_builtin_values_and_honour_bounds():
+    assert type(check_int(np.int64(3), "n")) is int
+    assert type(check_real(np.float32(0.5), "x")) is float
+    assert check_int(0, "n", low=0) == 0
+    with pytest.raises(ValidationError, match=r"^n must be an integer in \[1, 3\], got 4$"):
+        check_int(4, "n", high=3)
+    with pytest.raises(RankError, match=r"^x must be a finite real >= 0, got -1$"):
+        check_real(-1, "x", low=0, error=RankError)

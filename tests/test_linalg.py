@@ -135,6 +135,12 @@ def _orthonormal(rng, n, k):
 )
 @example(rows=33, cols=7, rank=3, repeated=True, max_block=linalg.MAX_BLOCK, seed=0)
 @example(rows=40, cols=40, rank=40, repeated=False, max_block=3, seed=1)
+# rank-deficient draws whose zero singular values an absolute stopping rule
+# alone left at 1.0-2.3e-12 times the largest
+@example(rows=40, cols=28, rank=27, repeated=True, max_block=linalg.MAX_BLOCK, seed=25)
+@example(rows=35, cols=18, rank=18, repeated=True, max_block=5, seed=4)
+@example(rows=36, cols=37, rank=27, repeated=True, max_block=5, seed=25)
+@example(rows=24, cols=23, rank=18, repeated=True, max_block=1, seed=24)
 def test_svd_matches_lapack_oracle(rows, cols, rank, repeated, max_block, seed):
     # np.linalg.svd serves only as the oracle.  Narrow blocks give small
     # inputs several blocks and rounds per sweep, and padding where the block

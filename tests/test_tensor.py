@@ -92,10 +92,19 @@ def test_unfold_fiber_enumeration_random():
         assert np.array_equal(unfold(t, mode), brute_force_unfold(t, mode))
 
 
-@pytest.mark.parametrize("mode", [0, 4, -1])
+@pytest.mark.parametrize("mode", [0, 4, -1, True, 1.0])
 def test_unfold_invalid_mode(mode):
     with pytest.raises(ValidationError):
         unfold(np.zeros((2, 2, 2)), mode)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fold(np.zeros((3, 8)), 2.0, (2, 3, 4)),
+    lambda: mode_n_product(np.zeros((2, 2, 2)), np.eye(2), True),
+], ids=["fold", "mode_n_product"])
+def test_non_integer_mode_is_rejected(call):
+    with pytest.raises(ValidationError, match="^mode "):
+        call()
 
 
 def test_fold_inverts_unfold_exactly():
@@ -142,7 +151,7 @@ def test_fold_rejects_inconsistent_dims():
 
 
 @pytest.mark.parametrize("dims", [(True, 2, 2), (1.0, 2, 2), (1, 2, np.float64(2.0)),
-                                  (np.nan, 2, 2), (0, 2, 2), (1, 2)])
+                                  (np.nan, 2, 2), (0, 2, 2), (1, 2), None, 4])
 def test_fold_rejects_non_integer_dims(dims):
     with pytest.raises(ValidationError):
         fold(np.zeros((1, 4)), 1, dims)

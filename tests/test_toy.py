@@ -290,6 +290,30 @@ def test_finetune_rejects_bad_eta(eta):
         head_only_finetune(small_model(), *SMALL_TRAIN, eta=eta, steps=1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("steps", 2.5), ("steps", True), ("steps", -3), ("head_eta", "x"), ("head_eta", np.nan),
+])
+def test_craft_finetune_rejects_bad_arguments(name, value):
+    kwargs = {"eta": 0.1, "steps": 1, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        craft_finetune(small_model(), {}, *SMALL_TRAIN, **kwargs)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, -3])
+def test_head_only_finetune_rejects_bad_steps(steps):
+    with pytest.raises(ValidationError, match="^steps "):
+        head_only_finetune(small_model(), *SMALL_TRAIN, eta=0.1, steps=steps)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_steps", 2.5), ("max_steps", True), ("max_steps", -1), ("eta", "x"),
+    ("target_acc", None), ("target_acc", np.inf), ("eval_every", 0),
+])
+def test_pretrain_rejects_bad_arguments(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        pretrain(SMALL_CFG, SMALL_TASK, **{name: value})
+
+
 @pytest.mark.parametrize("bad", ["token", "label"])
 def test_finetune_reports_bad_input_as_a_validation_error(bad):
     tokens, labels = (np.array(x) for x in SMALL_TRAIN)
