@@ -122,6 +122,10 @@ def method_param_count(
     Square ``d x d`` projections are assumed; ``n_projections`` counts the
     adapted projection types for every method so the rows are comparable.
     """
+    n_layers = check_int(n_layers, "n_layers")
+    d = check_int(d, "d")
+    lora_rank = check_int(lora_rank, "lora_rank")
+    n_projections = check_int(n_projections, "n_projections")
     if method == "full":
         return n_projections * n_layers * d * d
     if method in ("lora", "pissa"):

@@ -11,10 +11,14 @@ Two operating modes:
   on task A);
 * craft-adapt: per-layer Q and V weights are read out of adapters, and only
   the adaptation matrices plus the classifier head train.  Embeddings, K and
-  O weights, and all frozen adapter buffers stay untouched.
+  O weights, and all frozen adapter buffers stay untouched.  The backward
+  pass then computes and returns only the gradients of what trains: the head
+  and the ``wq``/``wv`` upstream tensors of the adapters.
 
 The backward pass is hand-derived for this fixed architecture and checked
-against central finite differences in the test suite.
+against central finite differences in the test suite.  Each training or
+evaluation loop builds one set of activation buffers and writes every step
+into it, so steps allocate only small per-step arrays.
 """
 
 from __future__ import annotations
@@ -168,11 +172,13 @@ def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
     return _check_ids(arr, "token ids", model.cfg.vocab_size)
 
 
-def _check_labels(model: ToyModel, labels, batch: int) -> np.ndarray:
+def _check_batch(model: ToyModel, tokens, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Checked int64 ``tokens`` and one label per sequence."""
+    tok = _check_tokens(model, tokens)
     arr = np.asarray(labels)
-    if arr.shape != (batch,):
-        raise ValidationError(f"labels must have shape ({batch},), got {arr.shape}")
-    return _check_ids(arr, "labels", model.cfg.n_classes)
+    if arr.shape != (len(tok),):
+        raise ValidationError(f"labels must have shape ({len(tok)},), got {arr.shape}")
+    return tok, _check_ids(arr, "labels", model.cfg.n_classes)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -183,6 +189,56 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+class _Buffers:
+    """Activations for one batch size, overwritten in place by every pass.
+
+    Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
+    ``q``, ``k``, ``v``, ``attn`` and ``ctx`` hold layer ``l`` in slot
+    ``l % depth``.  Training needs every layer and the backward scratch; a
+    forward-only pass keeps depth 1, so ``x`` alternates between two rows.
+    """
+
+    def __init__(self, cfg: ToyConfig, batch: int, backward: bool):
+        depth = cfg.n_layers if backward else 1
+        flat = (batch * cfg.seq_len, cfg.d_model)
+        acts, scores = (batch, cfg.seq_len, cfg.d_model), (batch, cfg.seq_len, cfg.seq_len)
+        self.x = np.empty((depth + 1, *flat))
+        self.q, self.k, self.v, self.ctx = (np.empty((depth, *acts)) for _ in range(4))
+        self.attn = np.empty((depth, *scores))
+        if backward:
+            self.dx, self.tmp = np.empty(flat), np.empty(flat)
+            self.d_ctx, self.d_v, self.d_q, self.d_k = (np.empty(acts) for _ in range(4))
+            self.d_attn, self.tmp_attn = np.empty(scores), np.empty(scores)
+
+
+def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers):
+    """Logits, pooled features and effective Q/V stacks of validated ``tok``;
+    every activation is written into ``buf``."""
+    n_layers, d = model.cfg.n_layers, model.cfg.d_model
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    wq_eff, wv_eff = model.effective_qv()
+    depth, n_x = len(buf.q), len(buf.x)
+    # activations are (batch * seq_len, d) so each projection is one GEMM;
+    # the ids are checked, and mode="raise" would copy through a temporary
+    np.take(model.embeddings, tok.ravel(), axis=0, out=buf.x[0], mode="clip")
+    for layer in range(n_layers):
+        x, x_out = buf.x[layer % n_x], buf.x[(layer + 1) % n_x]
+        q, k, v = buf.q[layer % depth], buf.k[layer % depth], buf.v[layer % depth]
+        attn, ctx = buf.attn[layer % depth], buf.ctx[layer % depth]
+        np.matmul(x, wq_eff[layer].T, out=q.reshape(-1, d))
+        np.matmul(x, model.wk[layer].T, out=k.reshape(-1, d))
+        np.matmul(x, wv_eff[layer].T, out=v.reshape(-1, d))
+        np.matmul(q, k.swapaxes(1, 2), out=attn)
+        attn *= inv_sqrt_d
+        _softmax_rows(attn)
+        np.matmul(attn, v, out=ctx)
+        np.matmul(ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
+        x_out += x
+    pooled = buf.x[n_layers % n_x].reshape(len(tok), -1, d).mean(axis=1)
+    logits = pooled @ model.head_w + model.head_b
+    return logits, pooled, wq_eff, wv_eff
+
+
 def forward(model: ToyModel, tokens, want_cache: bool = False):
     """Logits ``(batch, n_classes)``; with ``want_cache`` also the per-layer
     activations needed by the backward pass (including attention weights).
@@ -191,27 +247,14 @@ def forward(model: ToyModel, tokens, want_cache: bool = False):
     ``v`` are ``(batch, seq_len, d)`` and ``attn`` is ``(batch, seq_len, seq_len)``.
     """
     tok = _check_tokens(model, tokens)
-    batch, seq_len, d = tok.shape[0], model.cfg.seq_len, model.cfg.d_model
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    wq_eff, wv_eff = model.effective_qv()
-    # activations are (batch * seq_len, d) so each projection is one GEMM
-    x = model.embeddings[tok.ravel()]
-    layers = []
-    for layer in range(model.cfg.n_layers):
-        q = (x @ wq_eff[layer].T).reshape(batch, seq_len, d)
-        k = (x @ model.wk[layer].T).reshape(batch, seq_len, d)
-        v = (x @ wv_eff[layer].T).reshape(batch, seq_len, d)
-        scores = q @ k.swapaxes(1, 2)
-        scores *= inv_sqrt_d
-        attn = _softmax_rows(scores)
-        ctx = (attn @ v).reshape(-1, d)
-        out = ctx @ model.wo[layer].T
-        layers.append({"x": x, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx})
-        x = x + out
-    pooled = x.reshape(batch, seq_len, d).mean(axis=1)
-    logits = pooled @ model.head_w + model.head_b
+    buf = _Buffers(model.cfg, len(tok), backward=want_cache)
+    logits, pooled, wq_eff, wv_eff = _forward(model, tok, buf)
     if not want_cache:
         return logits
+    d = model.cfg.d_model
+    layers = [{"x": buf.x[l], "q": buf.q[l], "k": buf.k[l], "v": buf.v[l],
+               "attn": buf.attn[l], "ctx": buf.ctx[l].reshape(-1, d)}
+              for l in range(model.cfg.n_layers)]
     cache = {"tokens": tok, "layers": layers, "pooled": pooled,
              "wq_eff": wq_eff, "wv_eff": wv_eff}
     return logits, cache
@@ -230,57 +273,75 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
-    """Mean cross-entropy plus gradients for every parameter group.
+    """Mean cross-entropy plus gradients for every parameter group that trains.
 
-    The returned dict always contains the weight-stack gradients ``wq`` and
-    ``wv`` (shape ``(n_layers, d, d)``); in craft-adapt mode these are the
+    Full-train mode returns all seven groups.  In craft-adapt mode
+    (``model.adapters`` set) only ``head_w``, ``head_b``, ``wq`` and ``wv``
+    come back: the frozen ``wk``, ``wo`` and embedding gradients are never
+    computed.  ``wq`` and ``wv`` (shape ``(n_layers, d, d)``) are then the
     upstream tensors to feed :func:`craft.adapter.grad_j`.
-    """
-    logits, cache = forward(model, tokens, want_cache=True)
-    loss, dlogits = cross_entropy(logits, _check_labels(model, labels, len(logits)))
 
-    pooled = cache["pooled"]
-    g = {
-        "head_w": pooled.T @ dlogits,
-        "head_b": dlogits.sum(axis=0),
-        "embeddings": np.zeros_like(model.embeddings),
-        "wq": np.zeros_like(model.wq),
-        "wk": np.zeros_like(model.wk),
-        "wv": np.zeros_like(model.wv),
-        "wo": np.zeros_like(model.wo),
-    }
-    batch, seq_len, d = cache["tokens"].shape[0], model.cfg.seq_len, model.cfg.d_model
+    Each call works in fresh activation buffers; the training loops in this
+    module build theirs once and reuse them for every step.
+    """
+    tok, labels = _check_batch(model, tokens, labels)
+    return _loss_and_grads(model, tok, labels, _Buffers(model.cfg, len(tok), backward=True))
+
+
+def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
+                    buf: _Buffers) -> tuple[float, dict]:
+    """:func:`loss_and_grads` of validated inputs, working in ``buf``."""
+    logits, pooled, wq_eff, wv_eff = _forward(model, tok, buf)
+    loss, dlogits = cross_entropy(logits, labels)
+    full = model.adapters is None
+    g = {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0),
+         "wq": np.empty_like(model.wq), "wv": np.empty_like(model.wv)}
+    if full:
+        g.update(embeddings=np.zeros_like(model.embeddings),
+                 wk=np.empty_like(model.wk), wo=np.empty_like(model.wo))
+    batch, seq_len, d = len(tok), model.cfg.seq_len, model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    dx = np.repeat(dlogits @ model.head_w.T / seq_len, seq_len, axis=0)
+    dx, tmp = buf.dx, buf.tmp
+    dx.reshape(batch, seq_len, d)[:] = (dlogits @ model.head_w.T / seq_len)[:, None, :]
+    d_ctx, d_q, d_k, d_v = (a.reshape(-1, d) for a in (buf.d_ctx, buf.d_q, buf.d_k, buf.d_v))
 
     for layer in range(model.cfg.n_layers - 1, -1, -1):
-        c = cache["layers"][layer]
-        g["wo"][layer] = dx.T @ c["ctx"]
-        d_ctx = (dx @ model.wo[layer]).reshape(batch, seq_len, d)
-        d_attn = d_ctx @ c["v"].swapaxes(1, 2)
-        d_v = (c["attn"].swapaxes(1, 2) @ d_ctx).reshape(-1, d)
+        x, q, k, v = buf.x[layer], buf.q[layer], buf.k[layer], buf.v[layer]
+        attn = buf.attn[layer]
+        if full:
+            np.matmul(dx.T, buf.ctx[layer].reshape(-1, d), out=g["wo"][layer])
+        np.matmul(dx, model.wo[layer], out=d_ctx)
+        d_scores = np.matmul(buf.d_ctx, v.swapaxes(1, 2), out=buf.d_attn)
+        np.matmul(attn.swapaxes(1, 2), buf.d_ctx, out=buf.d_v)
         # softmax rows: dS = P * (dP - sum(dP * P)), overwriting dP
-        d_scores = d_attn
-        d_scores -= np.sum(d_scores * c["attn"], axis=-1, keepdims=True)
-        d_scores *= c["attn"]
+        d_scores -= np.multiply(d_scores, attn, out=buf.tmp_attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
         d_scores *= inv_sqrt_d
-        d_q = (d_scores @ c["k"]).reshape(-1, d)
-        d_k = (d_scores.swapaxes(1, 2) @ c["q"]).reshape(-1, d)
-        g["wq"][layer] = d_q.T @ c["x"]
-        g["wk"][layer] = d_k.T @ c["x"]
-        g["wv"][layer] = d_v.T @ c["x"]
-        dx += d_q @ cache["wq_eff"][layer]
-        dx += d_k @ model.wk[layer]
-        dx += d_v @ cache["wv_eff"][layer]
+        np.matmul(d_scores, k, out=buf.d_q)
+        np.matmul(d_q.T, x, out=g["wq"][layer])
+        np.matmul(d_v.T, x, out=g["wv"][layer])
+        if not full and layer == 0:
+            break  # below layer 0, dx would only reach the frozen embeddings
+        np.matmul(d_scores.swapaxes(1, 2), q, out=buf.d_k)
+        if full:
+            np.matmul(d_k.T, x, out=g["wk"][layer])
+        dx += np.matmul(d_q, wq_eff[layer], out=tmp)
+        dx += np.matmul(d_k, model.wk[layer], out=tmp)
+        dx += np.matmul(d_v, wv_eff[layer], out=tmp)
 
-    np.add.at(g["embeddings"], cache["tokens"].ravel(), dx)
+    if full:
+        np.add.at(g["embeddings"], tok.ravel(), dx)
     return loss, g
 
 
 def evaluate(model: ToyModel, tokens, labels) -> float:
-    logits = forward(model, tokens)
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == _check_labels(model, labels, len(logits))))
+    tok, labels = _check_batch(model, tokens, labels)
+    return _evaluate(model, tok, labels, _Buffers(model.cfg, len(tok), backward=False))
+
+
+def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffers) -> float:
+    preds = np.argmax(_forward(model, tok, buf)[0], axis=1)
+    return float(np.mean(preds == labels))
 
 
 def _derived_seeds(seed: int) -> dict[str, int]:
@@ -308,13 +369,14 @@ def pretrain(
     eval_every = check_int(eval_every, "eval_every")
     seeds = _derived_seeds(cfg.seed)
     model = ToyModel(cfg, np.random.default_rng(seeds["model"]))
-    tokens, labels = make_dataset(task, cfg, "train")
-    eval_tokens, eval_labels = make_dataset(task, cfg, "eval")
+    tokens, labels = _check_batch(model, *make_dataset(task, cfg, "train"))
+    eval_tokens, eval_labels = _check_batch(model, *make_dataset(task, cfg, "eval"))
+    buf = _Buffers(cfg, len(tokens), backward=True)
+    eval_buf = _Buffers(cfg, len(eval_tokens), backward=False)
 
     losses = []
-    acc = 0.0
     for step in range(max_steps):
-        loss, g = loss_and_grads(model, tokens, labels)
+        loss, g = _loss_and_grads(model, tokens, labels, buf)
         if not np.isfinite(loss):
             raise DivergenceError("pretraining loss became non-finite", step=step)
         losses.append(loss)
@@ -322,10 +384,10 @@ def pretrain(
             arr = getattr(model, name)
             arr -= eta * g[name]
         if (step + 1) % eval_every == 0:
-            acc = evaluate(model, eval_tokens, eval_labels)
+            acc = _evaluate(model, eval_tokens, eval_labels, eval_buf)
             if acc >= target_acc:
                 break
-    acc = evaluate(model, eval_tokens, eval_labels)
+    acc = _evaluate(model, eval_tokens, eval_labels, eval_buf)
     if acc < 0.75:
         raise PretrainError(
             f"pretraining reached eval accuracy {acc:.3f} < 0.75 after "
@@ -381,15 +443,15 @@ def craft_finetune(
             raise ValidationError(
                 f"adapter {name} was not built from this model's stacked weights"
             )
-    tokens = _check_tokens(model, tokens)
-    labels = _check_labels(model, labels, len(tokens))
+    tokens, labels = _check_batch(model, tokens, labels)
     tuned = model.clone()
     tuned.adapters = dict(adapters)
+    buf = _Buffers(model.cfg, len(tokens), backward=True)
 
     losses = []
     for step in range(steps):
         try:
-            loss, g = loss_and_grads(tuned, tokens, labels)
+            loss, g = _loss_and_grads(tuned, tokens, labels, buf)
         except ValidationError as err:
             # the inputs were checked above, so only an overflowed adapter lands here
             raise DivergenceError(f"fine-tuning overflowed: {err}", step=step) from err
@@ -424,9 +486,8 @@ def head_only_finetune(
     eta = check_real(eta, "eta")
     steps = check_int(steps, "steps", low=0)
     tuned = model.clone()
-    _, cache = forward(tuned, tokens, want_cache=True)
-    pooled = cache["pooled"]
-    labels = _check_labels(tuned, labels, len(pooled))
+    tokens, labels = _check_batch(tuned, tokens, labels)
+    pooled = _forward(tuned, tokens, _Buffers(tuned.cfg, len(tokens), backward=False))[1]
     losses = []
     for step in range(steps):
         loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)

@@ -141,11 +141,22 @@ def test_dispersion_validates_inputs():
     lambda bad: param_scaling(["lora"], [12], 8, TuckerRanks(1, 1, 1), n_projections=bad),
     lambda bad: param_scaling(["lora"], [bad], 8, TuckerRanks(1, 1, 1)),
     lambda bad: storage_report((3, 4, 5), TuckerRanks(1, 1, 1), n_projections=bad),
+    lambda bad: method_param_count("lora", bad, 8, TuckerRanks(1, 1, 1), 2, 2),
+    lambda bad: method_param_count("lora", 2, bad, TuckerRanks(1, 1, 1), 2, 2),
+    lambda bad: method_param_count("lora", 2, 8, TuckerRanks(1, 1, 1), bad, 2),
+    lambda bad: method_param_count("lora", 2, 8, TuckerRanks(1, 1, 1), 2, bad),
 ], ids=["dispersion.k", "scaling.d", "scaling.lora_rank", "scaling.n_projections",
-        "scaling.layer_count", "storage.n_projections"])
+        "scaling.layer_count", "storage.n_projections", "count.n_layers", "count.d",
+        "count.lora_rank", "count.n_projections"])
 def test_integer_arguments_reject_bools_floats_and_nan(call, bad):
     with pytest.raises(ValidationError):
         call(bad)
+
+
+def test_method_param_count_rejects_fractional_d():
+    """A fractional ``d`` used to come back as a float count (20.0)."""
+    with pytest.raises(ValidationError, match="^d must be an integer"):
+        method_param_count("lora", 2, 2.5, TuckerRanks(1, 1, 1), True, 2)
 
 
 def test_lora_reference_count():

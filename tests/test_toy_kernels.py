@@ -7,6 +7,10 @@ whatever the queries and keys, so the ``wq`` and ``wk`` gradients are zero in
 exact arithmetic and hold only rounding noise; those two groups are then held
 to 1e-12 of the largest gradient entry instead. The head-only baseline changed no arithmetic, only where the
 pooled features come from, so it must match its reference bit for bit.
+
+Only the groups that train are returned: all seven in full-train mode, and
+``head_w``, ``head_b``, ``wq`` and ``wv`` in craft-adapt mode, where the frozen
+``wk``, ``wo`` and embedding gradients are never computed.
 """
 
 import numpy as np
@@ -19,16 +23,24 @@ from craft.toy import (
     ToyConfig,
     ToyModel,
     build_adapters,
+    craft_finetune,
+    forward,
     head_only_finetune,
     loss_and_grads,
     make_dataset,
     pretrain,
 )
 from craft.tucker import TuckerRanks
-from toy_reference import reference_head_only_finetune, reference_loss_and_grads
+from toy_reference import (
+    reference_craft_finetune,
+    reference_head_only_finetune,
+    reference_loss_and_grads,
+    reference_pretrain,
+)
 
 REL_TOL = 1e-12
 GROUPS = ("head_w", "head_b", "embeddings", "wq", "wk", "wv", "wo")
+CRAFT_GROUPS = ("head_w", "head_b", "wq", "wv")
 
 
 def uniform_attention_groups(tokens):
@@ -44,10 +56,10 @@ def assert_matches_reference(model, tokens, labels):
     loss, g = loss_and_grads(model, tokens, labels)
     ref_loss, ref_g = reference_loss_and_grads(model, tokens, labels)
     assert abs(loss - ref_loss) <= REL_TOL * abs(ref_loss)
-    assert set(g) == set(GROUPS)
+    assert set(g) == set(GROUPS if model.adapters is None else CRAFT_GROUPS)
     zero_groups = uniform_attention_groups(tokens)
     noise_bound = REL_TOL * max(np.abs(ref_g[name]).max() for name in GROUPS)
-    for name in GROUPS:
+    for name in g:
         assert g[name].shape == ref_g[name].shape, name
         if name in zero_groups:
             assert np.abs(g[name]).max() <= noise_bound, name
@@ -137,3 +149,42 @@ def test_head_only_finetune_is_bitwise_equal_to_reference():
     assert losses == ref_losses
     assert tuned.head_w.tobytes() == ref.head_w.tobytes()
     assert tuned.head_b.tobytes() == ref.head_b.tobytes()
+
+
+def test_training_loops_reuse_buffers_without_carrying_state():
+    """pretrain and craft_finetune keep one activation buffer set for all
+    their steps; every step must still equal a call on fresh buffers."""
+    cfg = ToyConfig(seed=5)
+    task = SyntheticTask(seed=5, train_size=64, eval_size=64)
+    m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9, eval_every=5)
+    ref, ref_losses = reference_pretrain(cfg, task, eta=0.05, max_steps=60,
+                                         target_acc=0.9, eval_every=5)
+    assert len(ref_losses) >= 6
+    assert m.pretrain_losses == ref_losses
+    for name in GROUPS:
+        assert getattr(m, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    adapters = build_adapters(m, TuckerRanks(4, 8, 8))
+    train = make_dataset(task.flipped(), cfg, "train")
+    tuned, losses = craft_finetune(m, adapters, *train, eta=0.5, steps=8, head_eta=0.2)
+    ref, ref_losses = reference_craft_finetune(m, adapters, *train, eta=0.5, steps=8,
+                                               head_eta=0.2)
+    assert losses == ref_losses
+    assert len(set(losses)) == len(losses)  # every step moved the model
+    for name in ("head_w", "head_b"):
+        assert getattr(tuned, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in adapters:
+        for j, ref_j in zip(tuned.adapters[name].j_matrices, ref.adapters[name].j_matrices):
+            assert j.tobytes() == ref_j.tobytes(), name
+
+
+@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_forward_without_cache_equals_cached_logits(n_layers, craft_adapt):
+    """Without a cache the forward pass keeps one layer of activations and
+    alternates two ``x`` rows; the logits must not change by a bit."""
+    cfg = ToyConfig(n_layers=n_layers, d_model=8, vocab_size=6, seq_len=5, seed=n_layers)
+    model = random_model(cfg, seed=n_layers, ranks=TuckerRanks(1, 4, 4) if craft_adapt else None)
+    tokens, _ = make_dataset(SyntheticTask(seed=n_layers, train_size=12), cfg, "train")
+    logits, _ = forward(model, tokens, want_cache=True)
+    assert forward(model, tokens).tobytes() == logits.tobytes()

@@ -4,15 +4,22 @@
 backward pass (with the original 3-D broadcast forward pass), and
 ``reference_head_only_finetune`` the original baseline loop, which runs a full
 forward/backward pass per step and reads only the head gradients.
+``reference_pretrain`` and ``reference_craft_finetune`` are the training loops
+written over the public ``loss_and_grads`` and ``evaluate``, which work in
+fresh activation buffers on every call.
 ``majority_label`` states the base task's labelling rule directly.
 """
 
 import numpy as np
 
+from craft.adapter import grad_j, sgd_step
 from craft.errors import DivergenceError
 from craft.toy import (
+    ToyModel,
     _check_tokens,
+    _derived_seeds,
     cross_entropy,
+    evaluate,
     loss_and_grads,
     make_dataset,
 )
@@ -103,4 +110,34 @@ def reference_head_only_finetune(model, task, eta, steps):
         losses.append(loss)
         tuned.head_w -= eta * g["head_w"]
         tuned.head_b -= eta * g["head_b"]
+    return tuned, losses
+
+
+def reference_pretrain(cfg, task, eta, max_steps, target_acc, eval_every):
+    model = ToyModel(cfg, np.random.default_rng(_derived_seeds(cfg.seed)["model"]))
+    tokens, labels = make_dataset(task, cfg, "train")
+    eval_set = make_dataset(task, cfg, "eval")
+    losses = []
+    for step in range(max_steps):
+        loss, g = loss_and_grads(model, tokens, labels)
+        losses.append(loss)
+        for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
+            arr = getattr(model, name)
+            arr -= eta * g[name]
+        if (step + 1) % eval_every == 0 and evaluate(model, *eval_set) >= target_acc:
+            break
+    return model, losses
+
+
+def reference_craft_finetune(model, adapters, tokens, labels, eta, steps, head_eta):
+    tuned = model.clone()
+    tuned.adapters = dict(adapters)
+    losses = []
+    for _ in range(steps):
+        loss, g = loss_and_grads(tuned, tokens, labels)
+        losses.append(loss)
+        for name, a in tuned.adapters.items():
+            tuned.adapters[name] = sgd_step(a, grad_j(a, g["w" + name.lower()]), eta)
+        tuned.head_w -= head_eta * g["head_w"]
+        tuned.head_b -= head_eta * g["head_b"]
     return tuned, losses
