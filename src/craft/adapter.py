@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError, check_int, check_real
 from .tucker import TuckerFactors, TuckerRanks, expand, hosvd, reconstruct
-from .tensor import frozen_array, mode_n_product, tensor3
+from .tensor import check_array, frozen_array, mode_n_product
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,11 @@ class CraftAdapter:
     j3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w_original", frozen_array(self.w_original, 3, "w_original"))
-        if self.w_original.shape != self.factors.dims:
-            raise ValidationError(
-                f"w_original dims {self.w_original.shape} != factor dims {self.factors.dims}"
-            )
+        object.__setattr__(self, "w_original",
+                           frozen_array(self.w_original, "w_original", self.factors.dims))
         for n, r in enumerate(self.ranks.as_tuple(), start=1):
             name = f"j{n}"
-            j = frozen_array(getattr(self, name), 2, name)
-            if j.shape != (r, r):
-                raise ValidationError(f"{name} must be {r}x{r}, got {j.shape}")
-            object.__setattr__(self, name, j)
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name, (r, r)))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -131,9 +125,7 @@ def grad_j(a: CraftAdapter, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarra
         g2 = sum_l g[l] @ j3 @ m[l].T
         g3 = sum_l g[l].T @ j2 @ m[l]
     """
-    up = tensor3(upstream)
-    if up.shape != a.dims:
-        raise ValidationError(f"upstream dims {up.shape} != adapter dims {a.dims}")
+    up = check_array(upstream, "upstream", a.dims)
     f = a.factors
     m = mode_n_product(f.core, f.u1 @ a.j1, 1)
     g = f.u2.T @ up @ f.u3

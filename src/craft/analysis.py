@@ -19,7 +19,7 @@ import numpy as np
 from .adapter import trainable_param_count
 from .errors import ValidationError, check_int
 from .linalg import truncated_svd
-from .tensor import matrix
+from .tensor import check_array
 from .tucker import TuckerRanks, compression_counts
 
 PROJECTIONS = ("Q", "K", "V")
@@ -60,18 +60,13 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
         raise ValidationError("dispersion requires at least one layer")
     reports = []
     for idx, weights in enumerate(layer_weights, start=1):
-        mats = {}
+        mats, d_in = {}, None
         for name in PROJECTIONS:
             if name not in weights:
                 raise ValidationError(f"layer {idx} is missing projection {name!r}")
-            mats[name] = matrix(weights[name])
-        d_in = mats["Q"].shape[1]
-        for name in PROJECTIONS:
-            if mats[name].shape[1] != d_in:
-                raise ValidationError(
-                    f"layer {idx}: projection {name} has {mats[name].shape[1]} "
-                    f"columns, expected {d_in}"
-                )
+            mats[name] = check_array(weights[name], f"layer {idx} projection {name}",
+                                     (None, d_in))
+            d_in = mats[name].shape[1]
         k = check_int(k, "k", 1, d_in)
 
         pooled = np.vstack([mats[name] for name in PROJECTIONS])

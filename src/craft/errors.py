@@ -39,8 +39,9 @@ class RankError(CraftError):
 class ConvergenceError(CraftError):
     """An iterative solver exhausted its sweep budget.
 
-    Carries the relative residual reached when the budget ran out, and the
-    tensor mode being decomposed when raised from hosvd.
+    Carries the residual reached when the budget ran out, the absolute
+    off-diagonal measure ``sqrt(off) / ||m||_F^2`` of ``TruncatedSVD``, and
+    the tensor mode being decomposed when raised from hosvd.
     """
     exit_code = 4
 

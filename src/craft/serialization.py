@@ -54,7 +54,7 @@ import weakref
 import numpy as np
 
 from .errors import FormatError
-from .tensor import is_immutable, matrix, tensor3
+from .tensor import check_array, is_immutable, matrix, tensor3
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
@@ -266,30 +266,19 @@ def _parse(path):
     return version, kind, extents, np.frombuffer(payload, dtype="<f8")
 
 
-def _take(values: np.ndarray, cursor: int, shape) -> tuple[np.ndarray, int]:
-    count = math.prod(shape)
-    return values[cursor:cursor + count].reshape(shape), cursor + count
-
-
 def _assemble(path, version, kind, extents, values):
     if kind in (KIND_TENSOR3, KIND_MATRIX):
-        expected = math.prod(extents)
-        if values.size != expected:
-            raise FormatError(f"{path}: payload size {values.size} != extents product {expected}")
-        if not np.isfinite(values).all():
-            raise FormatError(f"{path}: payload contains non-finite values")
-        # a read Tensor3 or Matrix is the caller's to modify
-        return values.reshape(extents).copy()
-
-    dims, ranks_t = extents[:3], extents[3:]
-    if any(r > i for r, i in zip(ranks_t, dims)):
-        raise FormatError(f"{path}: ranks {ranks_t} exceed dims {dims}")
-    r1, r2, r3 = ranks_t
-    blocks = [(r1, r2, r3), (dims[0], r1), (dims[1], r2), (dims[2], r3)]
-    if kind == KIND_CRAFT_ADAPTER:
-        # version 1 stored the initial reconstruction after w_original
-        w_blocks = [dims, dims] if version == 1 else [dims]
-        blocks = w_blocks + blocks + [(r1, r1), (r2, r2), (r3, r3)]
+        blocks = [extents]
+    else:
+        dims, ranks_t = extents[:3], extents[3:]
+        if any(r > i for r, i in zip(ranks_t, dims)):
+            raise FormatError(f"{path}: ranks {ranks_t} exceed dims {dims}")
+        r1, r2, r3 = ranks_t
+        blocks = [(r1, r2, r3), (dims[0], r1), (dims[1], r2), (dims[2], r3)]
+        if kind == KIND_CRAFT_ADAPTER:
+            # version 1 stored the initial reconstruction after w_original
+            w_blocks = [dims, dims] if version == 1 else [dims]
+            blocks = w_blocks + blocks + [(r1, r1), (r2, r2), (r3, r3)]
     expected = sum(math.prod(s) for s in blocks)
     if values.size != expected:
         raise FormatError(f"{path}: payload size {values.size} != expected {expected}")
@@ -300,13 +289,16 @@ def _assemble(path, version, kind, extents, values):
         values.setflags(write=False)
         blocks.pop(1)
 
-    cursor = 0
     arrays = []
     for shape in blocks:
-        arr, cursor = _take(values, cursor, shape)
-        arrays.append(arr)
-    # the frozen blocks reject non-finite values as they are built
+        count = math.prod(shape)
+        arrays.append(values[:count].reshape(shape))
+        values = values[count:]
+    # every block is validated, non-finite values included, as it is built
     try:
+        if kind in (KIND_TENSOR3, KIND_MATRIX):
+            # a read Tensor3 or Matrix is the caller's to modify
+            return check_array(arrays[0], _KINDS[kind][0], extents).copy()
         if kind == KIND_TUCKER_FACTORS:
             core, u1, u2, u3 = arrays
             return TuckerFactors(core, u1, u2, u3, TuckerRanks(r1, r2, r3))

@@ -4,8 +4,14 @@ Canonical layouts
 -----------------
 A ``Tensor3`` is a C-contiguous float64 array of shape ``(I1, I2, I3)``,
 row-major over ``(i1, i2, i3)``.  A ``Matrix`` is a float64 array of shape
-``(rows, cols)``.  Constructors reject NaN/Inf and empty extents so that
-non-finite values never propagate past the API boundary.
+``(rows, cols)``.
+
+Array validation has one policy, :func:`check_array`: every array argument
+is checked once, where it enters the API, for its shape (exact extents, or
+any extent >= 1) and for NaN/Inf, and comes back C-contiguous float64; the
+message starts with the argument's name.  ``tensor3``, ``matrix`` and
+``frozen_array`` are calls of it, so non-finite values and mismatched
+shapes never propagate past the API boundary.
 
 Unfolding convention (the single convention used everywhere in this
 package): the mode-n unfolding puts index ``i_n`` on the rows; the columns
@@ -33,25 +39,30 @@ from .errors import ValidationError, check_int
 _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 
 
-def _as_finite_float(data, ndim: int, what: str) -> np.ndarray:
+def check_array(data, name: str, shape) -> np.ndarray:
+    """``data`` as a C-contiguous float64 array of ``shape``, else ``ValidationError`` naming it.
+
+    ``shape`` has one entry per axis: an exact extent, or ``None`` for any
+    extent >= 1.
+    """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{what} must have {ndim} dimensions, got {arr.ndim}")
-    if arr.size == 0:
-        raise ValidationError(f"{what} must have all extents >= 1, got shape {arr.shape}")
+    if arr.ndim != len(shape) or not all(
+            n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        raise ValidationError(f"{name} must have shape ({expected}), got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite values")
+        raise ValidationError(f"{name} contains non-finite values")
     return np.ascontiguousarray(arr)
 
 
 def tensor3(data) -> np.ndarray:
     """Validate ``data`` as a Tensor3 and return it as C-contiguous float64."""
-    return _as_finite_float(data, 3, "tensor3")
+    return check_array(data, "tensor3", (None, None, None))
 
 
 def matrix(data) -> np.ndarray:
     """Validate ``data`` as a Matrix and return it as C-contiguous float64."""
-    return _as_finite_float(data, 2, "matrix")
+    return check_array(data, "matrix", (None, None))
 
 
 def is_immutable(arr: np.ndarray) -> bool:
@@ -71,10 +82,10 @@ def is_immutable(arr: np.ndarray) -> bool:
     return arr is None or isinstance(arr, bytes)
 
 
-def frozen_array(data, ndim: int, what: str) -> np.ndarray:
-    """Validated, read-only, C-contiguous float64 array.
+def frozen_array(data, name: str, shape) -> np.ndarray:
+    """``check_array(data, name, shape)`` as a read-only array.
 
-    Such an array that passes :func:`is_immutable` is shared, so update
+    A C-contiguous float64 ``data`` that passes :func:`is_immutable` is shared, so update
     steps keep the frozen buffers by reference; anything else, a read-only
     view of a writable array included, is copied.  A frozen buffer must
     never change: a file written from it after a change made through a
@@ -87,7 +98,7 @@ def frozen_array(data, ndim: int, what: str) -> np.ndarray:
         and is_immutable(data)
     )
     arr = data if shareable else np.array(data, dtype=np.float64, order="C")
-    arr = _as_finite_float(arr, ndim, what)
+    arr = check_array(arr, name, shape)
     arr.setflags(write=False)
     return arr
 
@@ -106,14 +117,10 @@ def stack_layers(mats: Sequence) -> np.ndarray:
     """
     if len(mats) == 0:
         raise ValidationError("stack_layers requires at least one matrix")
-    arrs = [matrix(m) for m in mats]
-    shape = arrs[0].shape
-    for idx, m in enumerate(arrs[1:], start=1):
-        if m.shape != shape:
-            raise ValidationError(
-                f"matrix at index {idx} has shape {m.shape}, expected {shape}"
-            )
-    return np.ascontiguousarray(np.stack(arrs, axis=0))
+    arrs = [check_array(mats[0], "matrix at index 0", (None, None))]
+    arrs += [check_array(m, f"matrix at index {i}", arrs[0].shape)
+             for i, m in enumerate(mats[1:], start=1)]
+    return np.stack(arrs, axis=0)
 
 
 def unfold(t, mode: int) -> np.ndarray:
@@ -129,16 +136,10 @@ def unfold(t, mode: int) -> np.ndarray:
 
 def fold(m, mode: int, dims) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    arr = matrix(m)
     mode = check_int(mode, "mode", 1, 3)
     dims = check_dims(dims)
     axes = _MODE_AXES[mode]
-    expected = (dims[mode - 1], dims[axes[1]] * dims[axes[2]])
-    if arr.shape != expected:
-        raise ValidationError(
-            f"mode-{mode} matrix of shape {arr.shape} inconsistent with dims "
-            f"{dims} (expected {expected})"
-        )
+    arr = check_array(m, "m", (dims[mode - 1], dims[axes[1]] * dims[axes[2]]))
     permuted = tuple(dims[a] for a in axes)
     inverse = tuple(np.argsort(axes))
     out = np.ascontiguousarray(arr.reshape(permuted).transpose(inverse))
@@ -157,13 +158,8 @@ def mode_n_product(t, u, mode: int) -> np.ndarray:
     its leading axis (mode 2), so no unfolding is copied or folded back.
     """
     arr = tensor3(t)
-    mat = matrix(u)
     mode = check_int(mode, "mode", 1, 3)
-    if mat.shape[1] != arr.shape[mode - 1]:
-        raise ValidationError(
-            f"mode-{mode} product needs u with {arr.shape[mode - 1]} columns, "
-            f"got shape {mat.shape}"
-        )
+    mat = check_array(u, "u", (None, arr.shape[mode - 1]))
     i1, i2, i3 = arr.shape
     if mode == 1:
         return (mat @ arr.reshape(i1, i2 * i3)).reshape(-1, i2, i3)

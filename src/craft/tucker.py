@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError, ValidationError, check_int
 from .linalg import truncated_svd
-from .tensor import check_dims, frobenius_norm, frozen_array, mode_n_product, tensor3, unfold
+from .tensor import (check_array, check_dims, frobenius_norm, frozen_array, mode_n_product,
+                     tensor3, unfold)
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -69,20 +70,12 @@ class TuckerFactors:
     convergence: tuple[tuple[int, float], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "core", frozen_array(self.core, 3, "core"))
-        for name in ("u1", "u2", "u3"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), 2, name))
         r = self.ranks.as_tuple()
-        if self.core.shape != r:
-            raise ValidationError(f"core shape {self.core.shape} != ranks {r}")
-        for n, u in enumerate(self.factor_matrices, start=1):
-            if u.shape[1] != r[n - 1]:
-                raise ValidationError(
-                    f"u{n} has {u.shape[1]} columns, expected rank {r[n - 1]}"
-                )
-            if u.shape[0] < u.shape[1]:
-                raise ValidationError(f"u{n} shape {u.shape} has more columns than rows")
-            _check_orthonormal(u, f"u{n}")
+        object.__setattr__(self, "core", frozen_array(self.core, "core", r))
+        for name, rank in zip(("u1", "u2", "u3"), r):
+            u = frozen_array(getattr(self, name), name, (None, rank))
+            _check_orthonormal(u, name)
+            object.__setattr__(self, name, u)
 
     @property
     def factor_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,9 +123,7 @@ def reconstruct(f: TuckerFactors) -> np.ndarray:
 
 def approximation_error(w, f: TuckerFactors) -> tuple[float, float]:
     """``(absolute, relative)`` Frobenius reconstruction error of ``f`` against ``w``."""
-    arr = tensor3(w)
-    if arr.shape != f.dims:
-        raise ValidationError(f"tensor dims {arr.shape} != factor dims {f.dims}")
+    arr = check_array(w, "w", f.dims)
     absolute = frobenius_norm(arr - reconstruct(f))
     denom = frobenius_norm(arr)
     return absolute, (absolute / denom if denom > 0.0 else 0.0)

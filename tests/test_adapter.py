@@ -326,9 +326,9 @@ def test_sgd_step_checks_only_the_new_js(monkeypatch):
     g1, g2, g3 = grad_j(a, rng.standard_normal(a.dims))
     grads = (g1, np.asfortranarray(g2), g3)
     calls = []
-    real = tensor._as_finite_float
-    monkeypatch.setattr(tensor, "_as_finite_float",
-                        lambda *args: calls.append(args[2]) or real(*args))
+    real = tensor.check_array
+    monkeypatch.setattr(tensor, "check_array",
+                        lambda *args: calls.append(args[1]) or real(*args))
     stepped = sgd_step(a, grads, 0.1)
     assert calls == []
     assert stepped.w_original is a.w_original

@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from craft.adapter import InitConfig, extract_layer, init_adapter, sgd_step, trainable_param_count
+from craft.adapter import (InitConfig, extract_layer, grad_j, init_adapter, sgd_step,
+                           trainable_param_count)
 from craft.analysis import dispersion, param_scaling, storage_report
 from craft.errors import RankError, ValidationError, check_int, check_real
 from craft.linalg import truncated_svd
-from craft.tensor import fold, mode_n_product, unfold
+from craft.tensor import fold, mode_n_product, stack_layers, unfold
 from craft.toy import SyntheticTask, ToyConfig
-from craft.tucker import TuckerRanks, compression_counts
+from craft.tucker import TuckerRanks, approximation_error, compression_counts
 from helpers import radius_construction
 
 RANKS = TuckerRanks(2, 2, 2)
@@ -55,6 +56,24 @@ INTEGER_PARAMS = [
      ValidationError),
 ]
 
+# (id, call with the array under test, parameter name, a valid shape)
+ARRAY_PARAMS = [
+    *[(pid, call, n, getattr(ADAPTER, n).shape)
+      for pid, call, n, _ in _fields(ADAPTER, ("w_original", "j1", "j2", "j3"))],
+    *[(pid, call, n, getattr(ADAPTER.factors, n).shape)
+      for pid, call, n, _ in _fields(ADAPTER.factors, ("core", "u1", "u2", "u3"))],
+    ("grad_j.upstream", lambda v: grad_j(ADAPTER, v), "upstream", ADAPTER.dims),
+    ("approximation_error.w", lambda v: approximation_error(v, ADAPTER.factors), "w",
+     ADAPTER.dims),
+    ("mode_n_product.u", lambda v: mode_n_product(ZEROS, v, 2), "u", (2, 3)),
+    ("fold.m", lambda v: fold(v, 1, (2, 3, 4)), "m", (2, 12)),
+    ("stack_layers.mats", lambda v: stack_layers([np.zeros((2, 3)), np.zeros((2, 3)), v]),
+     "matrix at index 2", (2, 3)),
+    *[(f"dispersion.{p}", lambda v, p=p: dispersion([{"Q": np.eye(3), "K": np.eye(3),
+                                                      "V": np.eye(3), p: v}], 1),
+       f"layer 1 projection {p}", (3, 3)) for p in ("K", "V")],
+]
+
 REAL_PARAMS = [
     *_fields(InitConfig(), ("epsilon", "sigma")),
     ("sgd_step.eta", lambda v: sgd_step(ADAPTER, [np.zeros((2, 2))] * 3, v), "eta",
@@ -75,6 +94,20 @@ def test_bad_argument_raises_the_documented_error_naming_it(call, name, error, b
     with pytest.raises(error) as info:
         call(bad)
     assert str(info.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize("call,name,shape", [
+    pytest.param(call, name, shape, id=pid) for pid, call, name, shape in ARRAY_PARAMS
+])
+def test_bad_array_raises_validation_error_naming_it(call, name, shape):
+    with pytest.raises(ValidationError, match=rf"^{name} must have shape "):
+        call(np.zeros(tuple(n + 1 for n in shape)))
+    with pytest.raises(ValidationError, match=rf"^{name} must have shape "):
+        call(np.zeros(shape[:-1]))
+    bad = np.zeros(shape)
+    bad.flat[-1] = np.nan
+    with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
+        call(bad)
 
 
 @pytest.mark.parametrize("call", [

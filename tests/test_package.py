@@ -24,3 +24,22 @@ def test_only_errors_applies_the_argument_policy():
                 if name in policy:
                     callers.add(path.name)
     assert callers <= {"errors.py"}
+
+
+def test_only_check_array_compares_array_shapes():
+    # array arguments get their shape checked by tensor.check_array; sgd_step
+    # keeps its own check, since a non-finite gradient is a DivergenceError
+    package = Path(craft.__file__).parent
+    checkers = set()
+    for module in ("tensor", "tucker", "adapter", "analysis"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.If)
+                        and any(isinstance(n, ast.Attribute) and n.attr == "shape"
+                                for n in ast.walk(node.test))
+                        and any(isinstance(n, ast.Raise) for n in node.body)):
+                    checkers.add(f"{module}.{fn.name}")
+    assert checkers == {"tensor.check_array", "adapter.sgd_step"}
