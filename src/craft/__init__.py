@@ -16,7 +16,7 @@ from .errors import (
     RankError,
     ValidationError,
 )
-from .tensor import fold, frobenius_norm, matrix, mode_n_product, stack_layers, tensor3, unfold
+from .tensor import check_array, fold, frobenius_norm, mode_n_product, stack_layers, unfold
 from .linalg import TruncatedSVD, truncated_svd
 from .tucker import (
     TuckerFactors,
@@ -63,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CraftError", "ValidationError", "RankError", "ConvergenceError",
     "FormatError", "ConfigError", "PretrainError", "DivergenceError",
-    "tensor3", "matrix", "stack_layers", "unfold", "fold", "mode_n_product",
+    "check_array", "stack_layers", "unfold", "fold", "mode_n_product",
     "frobenius_norm",
     "TruncatedSVD", "truncated_svd",
     "TuckerRanks", "TuckerFactors", "hosvd", "reconstruct",

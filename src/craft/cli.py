@@ -1,8 +1,9 @@
 """Command-line surface: decompose, reconstruct, train-toy, analyze, scaling.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error raised (see
-craft.errors and docs/FORMATS.md).  Float fields in report files are printed
-with repr-exact precision so identical runs produce identical bytes.
+craft.errors and docs/FORMATS.md), or 2 for an output path that cannot be
+written.  Float fields in report files are printed with repr-exact precision
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv=None) -> int:
     except CraftError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except OSError as err:  # an unwritable output path; reads raise FormatError
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RankError, check_int
-from .tensor import matrix
+from .tensor import check_array
 
 # off-diagonal mass must shrink below OFF_TOL relative to the invariant scale,
 # and every pair's squared cosine below REL_TOL (see TruncatedSVD)
@@ -159,7 +159,7 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     ``r`` may run up to the row count; columns beyond the numerical rank are
     an orthonormal completion (zero singular values).
     """
-    a = matrix(m)
+    a = check_array(m, "m", (None, None))
     rows, cols = a.shape
     r = check_int(r, "r", 1, rows, RankError)
 

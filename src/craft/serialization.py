@@ -54,7 +54,7 @@ import weakref
 import numpy as np
 
 from .errors import FormatError
-from .tensor import check_array, is_immutable, matrix, tensor3
+from .tensor import check_array, is_immutable
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
@@ -205,12 +205,12 @@ def _write(path, kind: int, extents, blocks) -> None:
 
 
 def write_tensor3(path, t) -> None:
-    arr = tensor3(t)
+    arr = check_array(t, "t", (None, None, None))
     _write(path, KIND_TENSOR3, arr.shape, [arr])
 
 
 def write_matrix(path, m) -> None:
-    arr = matrix(m)
+    arr = check_array(m, "m", (None, None))
     _write(path, KIND_MATRIX, arr.shape, [arr])
 
 

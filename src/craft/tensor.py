@@ -9,9 +9,9 @@ row-major over ``(i1, i2, i3)``.  A ``Matrix`` is a float64 array of shape
 Array validation has one policy, :func:`check_array`: every array argument
 is checked once, where it enters the API, for its shape (exact extents, or
 any extent >= 1) and for NaN/Inf, and comes back C-contiguous float64; the
-message starts with the argument's name.  ``tensor3``, ``matrix`` and
-``frozen_array`` are calls of it, so non-finite values and mismatched
-shapes never propagate past the API boundary.
+message starts with the argument's name.  Public entry points call it
+(``frozen_array`` through it) under their own argument names, so non-finite
+values and mismatched shapes never propagate past the API boundary.
 
 Unfolding convention (the single convention used everywhere in this
 package): the mode-n unfolding puts index ``i_n`` on the rows; the columns
@@ -53,16 +53,6 @@ def check_array(data, name: str, shape) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     return np.ascontiguousarray(arr)
-
-
-def tensor3(data) -> np.ndarray:
-    """Validate ``data`` as a Tensor3 and return it as C-contiguous float64."""
-    return check_array(data, "tensor3", (None, None, None))
-
-
-def matrix(data) -> np.ndarray:
-    """Validate ``data`` as a Matrix and return it as C-contiguous float64."""
-    return check_array(data, "matrix", (None, None))
 
 
 def is_immutable(arr: np.ndarray) -> bool:
@@ -125,7 +115,7 @@ def stack_layers(mats: Sequence) -> np.ndarray:
 
 def unfold(t, mode: int) -> np.ndarray:
     """Mode-n unfolding of a Tensor3 (see module docstring for the layout)."""
-    arr = tensor3(t)
+    arr = check_array(t, "t", (None, None, None))
     mode = check_int(mode, "mode", 1, 3)
     axes = _MODE_AXES[mode]
     out = np.transpose(arr, axes).reshape(arr.shape[mode - 1], -1)
@@ -157,7 +147,7 @@ def mode_n_product(t, u, mode: int) -> np.ndarray:
     GEMM on a row-major view of ``t`` (modes 1 and 3) or a batched GEMM over
     its leading axis (mode 2), so no unfolding is copied or folded back.
     """
-    arr = tensor3(t)
+    arr = check_array(t, "t", (None, None, None))
     mode = check_int(mode, "mode", 1, 3)
     mat = check_array(u, "u", (None, arr.shape[mode - 1]))
     i1, i2, i3 = arr.shape
@@ -170,5 +160,5 @@ def mode_n_product(t, u, mode: int) -> np.ndarray:
 
 def frobenius_norm(t) -> float:
     """Square root of the sum of squared entries of a Tensor3."""
-    arr = tensor3(t)
+    arr = check_array(t, "t", (None, None, None))
     return float(np.sqrt(np.sum(arr * arr)))

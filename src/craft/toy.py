@@ -47,8 +47,10 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "vocab_size", "seq_len", "n_classes"):
+        for name in ("n_layers", "d_model", "seq_len", "n_classes"):
             check_int(getattr(self, name), name)
+        # one token is always in the upper half, so label 0 could never be sampled
+        check_int(self.vocab_size, "vocab_size", low=2)
         if self.d_model % 2 != 0:
             raise ValidationError(f"d_model must be even, got {self.d_model}")
         check_int(self.seed, "seed", low=0)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RankError, ValidationError, check_int
 from .linalg import truncated_svd
-from .tensor import (check_array, check_dims, frobenius_norm, frozen_array, mode_n_product,
-                     tensor3, unfold)
+from .tensor import check_array, check_dims, frobenius_norm, frozen_array, mode_n_product, unfold
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -100,7 +99,7 @@ def expand(core, a1, a2, a3) -> np.ndarray:
 
 def hosvd(w, ranks: TuckerRanks) -> TuckerFactors:
     """Tucker-3 decomposition of ``w`` at the given multilinear rank."""
-    arr = tensor3(w)
+    arr = check_array(w, "w", (None, None, None))
     ranks.validate_for(arr.shape)
     svds = []
     for mode, r in enumerate(ranks.as_tuple(), start=1):

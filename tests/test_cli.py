@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import craft
 from craft.cli import main
 from craft.serialization import (
     read_tensor3,
@@ -276,3 +283,58 @@ def test_divergence_exits_6(tmp_path):
         code = main(["train-toy", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")])
     assert code == 6
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])
+def test_decompose_unwritable_output_exits_2(tensor_file, tmp_path, capsys, missing):
+    # a missing parent fails creating the temp file, a directory fails the rename
+    out = tmp_path / "missing" / "f.crft" if missing else tmp_path / "taken"
+    if not missing:
+        out.mkdir()
+    code = main(["decompose", "--input", str(tensor_file), "--ranks", "2,3,3",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_train_toy_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train_size=32\neval_size=32\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["train-toy", "--config", str(cfg), "--out-dir", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# perfbench's TINY train-toy run, which passes pretraining at seed 0
+TINY_TOY = ("seed=0\nn_layers=2\nd_model=16\nvocab_size=8\nseq_len=5\ntrain_size=64\n"
+            "eval_size=64\nsteps=5\nr1=1\nr2=4\nr3=4\n")
+
+
+def _run_with_blas_threads(threads, cwd, *args):
+    """stdout and per-file SHA-256 of ``craft *args`` run in ``cwd`` as a subprocess."""
+    cwd.mkdir()
+    src = str(Path(craft.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "craft.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout, {p.relative_to(cwd).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(cwd.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["decompose", "train-toy"])
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, command):
+    if command == "decompose":
+        source = tmp_path / "w.crft"
+        write_tensor3(source, np.random.default_rng(0).standard_normal((12, 64, 64)))
+        args = ["decompose", "--input", str(source), "--ranks", "4,16,16", "--output", "f.crft"]
+    else:
+        source = tmp_path / "run.cfg"
+        source.write_text(TINY_TOY)
+        args = ["train-toy", "--config", str(source), "--out-dir", "out"]
+    stdout, digests = _run_with_blas_threads(1, tmp_path / "one", *args)
+    assert digests
+    assert _run_with_blas_threads(2, tmp_path / "two", *args) == (stdout, digests)

@@ -8,9 +8,10 @@ from craft.adapter import (InitConfig, extract_layer, grad_j, init_adapter, sgd_
 from craft.analysis import dispersion, param_scaling, storage_report
 from craft.errors import RankError, ValidationError, check_int, check_real
 from craft.linalg import truncated_svd
-from craft.tensor import fold, mode_n_product, stack_layers, unfold
+from craft.serialization import write_matrix, write_tensor3
+from craft.tensor import fold, frobenius_norm, mode_n_product, stack_layers, unfold
 from craft.toy import SyntheticTask, ToyConfig
-from craft.tucker import TuckerRanks, approximation_error, compression_counts
+from craft.tucker import TuckerRanks, approximation_error, compression_counts, hosvd
 from helpers import radius_construction
 
 RANKS = TuckerRanks(2, 2, 2)
@@ -74,6 +75,18 @@ ARRAY_PARAMS = [
        f"layer 1 projection {p}", (3, 3)) for p in ("K", "V")],
 ]
 
+# (id, call with an output directory and the array under test, parameter
+# name, ndim) for arrays whose every extent may be any value >= 1
+ANY_EXTENT_ARRAY_PARAMS = [
+    ("hosvd.w", lambda d, v: hosvd(v, TuckerRanks(1, 1, 1)), "w", 3),
+    ("truncated_svd.m", lambda d, v: truncated_svd(v, 1), "m", 2),
+    ("mode_n_product.t", lambda d, v: mode_n_product(v, np.eye(2), 1), "t", 3),
+    ("unfold.t", lambda d, v: unfold(v, 1), "t", 3),
+    ("frobenius_norm.t", lambda d, v: frobenius_norm(v), "t", 3),
+    ("write_tensor3.t", lambda d, v: write_tensor3(d / "t.crft", v), "t", 3),
+    ("write_matrix.m", lambda d, v: write_matrix(d / "m.crft", v), "m", 2),
+]
+
 REAL_PARAMS = [
     *_fields(InitConfig(), ("epsilon", "sigma")),
     ("sgd_step.eta", lambda v: sgd_step(ADAPTER, [np.zeros((2, 2))] * 3, v), "eta",
@@ -108,6 +121,19 @@ def test_bad_array_raises_validation_error_naming_it(call, name, shape):
     bad.flat[-1] = np.nan
     with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
         call(bad)
+
+
+@pytest.mark.parametrize("call,name,ndim", [
+    pytest.param(call, name, ndim, id=pid) for pid, call, name, ndim in ANY_EXTENT_ARRAY_PARAMS
+])
+def test_bad_any_extent_array_raises_validation_error_naming_it(tmp_path, call, name, ndim):
+    with pytest.raises(ValidationError, match=rf"^{name} must have shape "):
+        call(tmp_path, np.zeros((2,) * (ndim - 1)))
+    bad = np.zeros((2,) * ndim)
+    bad.flat[-1] = np.nan
+    with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
+        call(tmp_path, bad)
+    assert list(tmp_path.iterdir()) == []  # no file, no leftover *.tmp
 
 
 @pytest.mark.parametrize("call", [

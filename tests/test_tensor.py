@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from craft.errors import ValidationError
+from craft.linalg import truncated_svd
 from craft.tensor import (
     fold,
     frobenius_norm,
     is_immutable,
-    matrix,
     mode_n_product,
     stack_layers,
-    tensor3,
     unfold,
 )
 
@@ -230,27 +229,27 @@ def test_frobenius_norm_values():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_constructors_reject_non_finite(bad):
+def test_array_boundaries_reject_non_finite(bad):
     t = np.zeros((2, 2, 2))
     t[0, 1, 0] = bad
     with pytest.raises(ValidationError):
-        tensor3(t)
+        unfold(t, 1)
     m = np.zeros((2, 2))
     m[1, 1] = bad
     with pytest.raises(ValidationError):
-        matrix(m)
+        truncated_svd(m, 1)
 
 
-def test_constructors_reject_wrong_ndim():
+def test_array_boundaries_reject_wrong_ndim():
     with pytest.raises(ValidationError):
-        tensor3(np.zeros((2, 2)))
+        unfold(np.zeros((2, 2)), 1)
     with pytest.raises(ValidationError):
-        matrix(np.zeros(3))
+        truncated_svd(np.zeros(3), 1)
 
 
-def test_constructors_reject_zero_extent():
+def test_array_boundaries_reject_zero_extent():
     with pytest.raises(ValidationError):
-        tensor3(np.zeros((2, 0, 2)))
+        frobenius_norm(np.zeros((2, 0, 2)))
 
 
 def _frozen(arr):

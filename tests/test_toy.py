@@ -384,3 +384,12 @@ def test_toy_config_validation():
         ToyConfig(n_layers=0)
     with pytest.raises(ValidationError):
         SyntheticTask(rule="nonsense")
+
+
+def test_single_token_vocabulary_is_rejected():
+    # with one token every sequence is all "upper half", so label 0 could
+    # never be sampled and make_dataset would not return
+    with pytest.raises(ValidationError, match=r"^vocab_size must be an integer >= 2, got 1$"):
+        ToyConfig(vocab_size=1)
+    _, labels = make_dataset(SyntheticTask(train_size=4), ToyConfig(vocab_size=5), "train")
+    assert labels.tolist() == [0, 1, 0, 1]  # odd sizes >= 3 stay valid
