@@ -136,9 +136,8 @@ def _cmd_train_toy(args) -> int:
     baseline_acc = evaluate(baseline, *eval_b)
 
     ser.write_matrix(os.path.join(model_dir, "embeddings.crft"), model.embeddings)
-    for name, stack in (("wq", model.wq), ("wk", model.wk),
-                        ("wv", model.wv), ("wo", model.wo)):
-        ser.write_tensor3(os.path.join(model_dir, f"{name}.crft"), stack)
+    for name in ("wq", "wk", "wv", "wo"):
+        ser.write_tensor3(os.path.join(model_dir, f"{name}.crft"), getattr(model, name))
     ser.write_matrix(os.path.join(model_dir, "head_weight.crft"), model.head_w)
     ser.write_matrix(os.path.join(model_dir, "head_bias.crft"), model.head_b[None, :])
 

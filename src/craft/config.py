@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, CraftError, check_int, check_real
 from .adapter import InitConfig
-from .toy import SyntheticTask, ToyConfig
+from .toy import PROJECTIONS, SyntheticTask, ToyConfig
 from .tucker import TuckerRanks
 
 
@@ -42,7 +42,7 @@ class RunConfig:
     pretrain_steps: int = 400
     pretrain_target: float = 0.9
     finetune_task: str = "majority_flip"
-    projections: tuple = ("Q", "V")
+    projections: tuple = tuple(PROJECTIONS)
     # built from the fields above in __post_init__; not config keys
     toy: ToyConfig = field(init=False, repr=False, compare=False)
     pretraining: SyntheticTask = field(init=False, repr=False, compare=False)
@@ -90,8 +90,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"pretrain_target must be in (0, 1], got {cfg.pretrain_target!r}")
     if cfg.vocab_size % 2 != 0:
         raise ConfigError(f"vocab_size must be even for the majority task, got {cfg.vocab_size}")
-    if len(cfg.projections) == 0 or any(p not in ("Q", "V") for p in cfg.projections):
-        raise ConfigError(f"projections must be a nonempty subset of Q,V, got {cfg.projections!r}")
+    if len(cfg.projections) == 0 or any(p not in PROJECTIONS for p in cfg.projections):
+        raise ConfigError(f"projections must be a nonempty subset of {','.join(PROJECTIONS)}, "
+                          f"got {cfg.projections!r}")
     if len(set(cfg.projections)) != len(cfg.projections):
         raise ConfigError(f"projections contains duplicates: {cfg.projections!r}")
 

@@ -182,18 +182,21 @@ def atomic_write(path, *buffers) -> None:
     """Write the concatenated buffers via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"{os.urandom(8).hex()}.tmp")
-    # created the way open() creates files: mode 0666 less the process umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(buffers)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # created the way open() creates files: mode 0666 less the process umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(buffers)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:  # named after the caller's path: the temp file is gone
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from err
 
 
 def _write(path, kind: int, extents, blocks) -> None:

@@ -9,11 +9,14 @@ Two operating modes:
 
 * full-train: every parameter updates (used to produce a "pre-trained" model
   on task A);
-* craft-adapt: per-layer Q and V weights are read out of adapters, and only
-  the adaptation matrices plus the classifier head train.  Embeddings, K and
-  O weights, and all frozen adapter buffers stay untouched.  The backward
-  pass then computes and returns only the gradients of what trains: the head
-  and the ``wq``/``wv`` upstream tensors of the adapters.
+* craft-adapt: the weights of each adapted projection are read out of its
+  adapter, and only the adaptation matrices plus the classifier head train.
+  The backward pass then computes and returns only the gradients of what
+  trains: the head and the ``wq``/``wv`` upstream tensors.
+
+``PROJECTIONS`` is the one place that says which projections can be adapted:
+it maps each to the ``ToyModel`` stack it replaces, which is also the
+``loss_and_grads`` key of that stack's upstream gradient.
 
 The backward pass is hand-derived for this fixed architecture and checked
 against central finite differences in the test suite.  Each training or
@@ -35,6 +38,9 @@ from .errors import DivergenceError, PretrainError, ValidationError, check_int, 
 from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
+PROJECTIONS = {"Q": "wq", "V": "wv"}
+BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
+PARAMS = BACKBONE + ("head_w", "head_b")
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,12 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "seq_len", "n_classes"):
+        for name in ("n_layers", "d_model", "seq_len"):
             check_int(getattr(self, name), name)
-        # one token is always in the upper half, so label 0 could never be sampled
-        check_int(self.vocab_size, "vocab_size", low=2)
+        # make_dataset labels samples 0/1, and with one token every sample
+        # would be in the upper half, so label 0 could never be sampled
+        for name in ("n_classes", "vocab_size"):
+            check_int(getattr(self, name), name, low=2)
         if self.d_model % 2 != 0:
             raise ValidationError(f"d_model must be even, got {self.d_model}")
         check_int(self.seed, "seed", low=0)
@@ -125,26 +133,22 @@ class ToyModel:
 
     def clone(self) -> "ToyModel":
         other = copy.copy(self)
-        for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
+        for name in PARAMS:
             setattr(other, name, getattr(self, name).copy())
         other.adapters = dict(self.adapters) if self.adapters is not None else None
         return other
 
     def effective_qv(self) -> tuple[np.ndarray, np.ndarray]:
         """Q and V weight stacks, routed through the adapters when attached."""
-        wq, wv = self.wq, self.wv
-        if self.adapters is not None:
-            if "Q" in self.adapters:
-                wq = adapted_tensor(self.adapters["Q"])
-            if "V" in self.adapters:
-                wv = adapted_tensor(self.adapters["V"])
-        return wq, wv
+        adapters = self.adapters or {}
+        return tuple(adapted_tensor(adapters[name]) if name in adapters else getattr(self, stack)
+                     for name, stack in PROJECTIONS.items())
 
     def backbone_checksum(self) -> str:
         """SHA-256 over everything that must never change during adaptation."""
         h = hashlib.sha256()
-        for arr in (self.embeddings, self.wq, self.wk, self.wv, self.wo):
-            h.update(np.ascontiguousarray(arr).tobytes())
+        for name in BACKBONE:
+            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
         if self.adapters is not None:
             for name in sorted(self.adapters):
                 a = self.adapters[name]
@@ -241,25 +245,10 @@ def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers):
     return logits, pooled, wq_eff, wv_eff
 
 
-def forward(model: ToyModel, tokens, want_cache: bool = False):
-    """Logits ``(batch, n_classes)``; with ``want_cache`` also the per-layer
-    activations needed by the backward pass (including attention weights).
-
-    Cached ``x`` and ``ctx`` are ``(batch * seq_len, d)``; ``q``, ``k`` and
-    ``v`` are ``(batch, seq_len, d)`` and ``attn`` is ``(batch, seq_len, seq_len)``.
-    """
+def forward(model: ToyModel, tokens) -> np.ndarray:
+    """Logits ``(batch, n_classes)``."""
     tok = _check_tokens(model, tokens)
-    buf = _Buffers(model.cfg, len(tok), backward=want_cache)
-    logits, pooled, wq_eff, wv_eff = _forward(model, tok, buf)
-    if not want_cache:
-        return logits
-    d = model.cfg.d_model
-    layers = [{"x": buf.x[l], "q": buf.q[l], "k": buf.k[l], "v": buf.v[l],
-               "attn": buf.attn[l], "ctx": buf.ctx[l].reshape(-1, d)}
-              for l in range(model.cfg.n_layers)]
-    cache = {"tokens": tok, "layers": layers, "pooled": pooled,
-             "wq_eff": wq_eff, "wv_eff": wv_eff}
-    return logits, cache
+    return _forward(model, tok, _Buffers(model.cfg, len(tok), backward=False))[0]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -347,9 +336,8 @@ def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffer
 
 
 def _derived_seeds(seed: int) -> dict[str, int]:
-    words = np.random.SeedSequence(seed).generate_state(4)
-    return {"model": int(words[0]), "adapter_q": int(words[1]),
-            "adapter_v": int(words[2]), "spare": int(words[3])}
+    words = np.random.SeedSequence(seed).generate_state(3)
+    return {"model": int(words[0]), "adapter_q": int(words[1]), "adapter_v": int(words[2])}
 
 
 def pretrain(
@@ -382,7 +370,7 @@ def pretrain(
         if not np.isfinite(loss):
             raise DivergenceError("pretraining loss became non-finite", step=step)
         losses.append(loss)
-        for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
+        for name in PARAMS:
             arr = getattr(model, name)
             arr -= eta * g[name]
         if (step + 1) % eval_every == 0:
@@ -403,19 +391,18 @@ def pretrain(
 def build_adapters(
     model: ToyModel,
     ranks: TuckerRanks,
-    epsilon: float = 0.01,
-    sigma: float = 0.02,
-    projections: tuple[str, ...] = ("Q", "V"),
+    epsilon: float = InitConfig.epsilon,
+    sigma: float = InitConfig.sigma,
+    projections: tuple[str, ...] = tuple(PROJECTIONS),
 ) -> dict[str, CraftAdapter]:
-    """Adapters over the model's stacked Q and/or V weights, seeded from the model seed."""
+    """Adapters over the model's stacked projection weights, seeded from the model seed."""
     seeds = _derived_seeds(model.cfg.seed)
-    stacks = {"Q": model.wq, "V": model.wv}
     adapters = {}
     for name in projections:
-        if name not in stacks:
-            raise ValidationError(f"projection must be 'Q' or 'V', got {name!r}")
+        if name not in PROJECTIONS:
+            raise ValidationError(f"projection must be one of {tuple(PROJECTIONS)}, got {name!r}")
         cfg = InitConfig(epsilon=epsilon, sigma=sigma, seed=seeds[f"adapter_{name.lower()}"])
-        adapters[name] = init_adapter(stacks[name], ranks, cfg)
+        adapters[name] = init_adapter(getattr(model, PROJECTIONS[name]), ranks, cfg)
     return adapters
 
 
@@ -438,9 +425,9 @@ def craft_finetune(
     head_eta = eta if head_eta is None else check_real(head_eta, "head_eta")
     steps = check_int(steps, "steps", low=0)
     for name, a in adapters.items():
-        if name not in ("Q", "V"):
-            raise ValidationError(f"adapter keys must be 'Q' or 'V', got {name!r}")
-        base = model.wq if name == "Q" else model.wv
+        if name not in PROJECTIONS:
+            raise ValidationError(f"adapter keys must be one of {tuple(PROJECTIONS)}, got {name!r}")
+        base = getattr(model, PROJECTIONS[name])
         if a.w_original.shape != base.shape or not np.array_equal(a.w_original, base):
             raise ValidationError(
                 f"adapter {name} was not built from this model's stacked weights"
@@ -461,8 +448,7 @@ def craft_finetune(
             raise DivergenceError("fine-tuning loss became non-finite", step=step)
         losses.append(loss)
         for name in tuned.adapters:
-            upstream = g["wq"] if name == "Q" else g["wv"]
-            grads = grad_j(tuned.adapters[name], upstream)
+            grads = grad_j(tuned.adapters[name], g[PROJECTIONS[name]])
             try:
                 tuned.adapters[name] = sgd_step(tuned.adapters[name], grads, eta)
             except DivergenceError as err:

@@ -294,7 +294,9 @@ def test_decompose_unwritable_output_exits_2(tensor_file, tmp_path, capsys, miss
     code = main(["decompose", "--input", str(tensor_file), "--ranks", "2,3,3",
                  "--output", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(out) in err and ".tmp" not in err  # the given path, not the temp file
     assert not list(tmp_path.rglob("*.tmp"))
 
 

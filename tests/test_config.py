@@ -83,6 +83,7 @@ def test_duplicate_key_rejected():
     "n_layers=0",
     "seq_len=0",
     "n_classes=0",
+    "n_classes=1",              # make_dataset labels samples 0/1
     "train_size=0",
     "eval_size=0",
 ])
@@ -123,6 +124,7 @@ def test_real_fields_accept_integers_and_numpy_reals():
     ("r2=64", r"^r2=64 exceeds d_model=32$"),
     ("d_model=16\nr3=17", r"^r3=17 exceeds d_model=16$"),
     ("train_size=0", r"^train_size "),
+    ("n_classes=1", r"^n_classes "),
 ])
 def test_delegated_errors_name_the_config_key(text, message):
     with pytest.raises(ConfigError, match=message):

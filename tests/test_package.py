@@ -43,3 +43,38 @@ def test_only_check_array_compares_array_shapes():
                         and any(isinstance(n, ast.Raise) for n in node.body)):
                     checkers.add(f"{module}.{fn.name}")
     assert checkers == {"tensor.check_array", "adapter.sgd_step"}
+
+
+def _is_q_or_v(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value in ("Q", "V")
+
+
+def _literal_elements(node) -> list:
+    if isinstance(node, ast.Dict):
+        return node.keys
+    return node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else []
+
+
+def test_only_toy_projections_names_the_adapted_projections():
+    # toy.PROJECTIONS says which projections can be adapted and which model
+    # stack each replaces; analyze's ("Q", "K", "V") names the dispersion
+    # report's rows and is no such decision
+    package = Path(craft.__file__).parent
+    offenders, tables = [], []
+    for module in ("toy", "config", "cli"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        exempt = None
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "PROJECTIONS" for t in node.targets)):
+                tables.append(module)
+                exempt = node.value
+            if (isinstance(node, ast.Compare)
+                    and any(map(_is_q_or_v, [node.left, *node.comparators]))):
+                offenders.append((module, node.lineno))
+            elements = _literal_elements(node)
+            if (elements and node is not exempt and all(map(_is_q_or_v, elements))
+                    and {e.value for e in elements} == {"Q", "V"}):
+                offenders.append((module, node.lineno))
+    assert tables == ["toy"]
+    assert offenders == []

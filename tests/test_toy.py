@@ -6,6 +6,8 @@ from craft.toy import (
     SyntheticTask,
     ToyConfig,
     ToyModel,
+    _Buffers,
+    _forward,
     build_adapters,
     craft_finetune,
     evaluate,
@@ -59,22 +61,29 @@ def test_flipped_task_inverts_labels_only():
     assert np.array_equal(labels, 1 - flabels)
 
 
+def attention_of_every_layer(model, tokens):
+    """The ``(n_layers, batch, seq_len, seq_len)`` attention weights that the
+    training pass's buffers hold after a forward pass."""
+    buf = _Buffers(model.cfg, len(tokens), backward=True)
+    _forward(model, tokens, buf)
+    assert len(buf.attn) == model.cfg.n_layers
+    return buf.attn
+
+
 def test_zero_query_key_gives_uniform_attention():
     m = small_model()
     m.wq[:] = 0.0
     m.wk[:] = 0.0
     tokens, _ = make_dataset(SMALL_TASK, SMALL_CFG, "train")
-    _, cache = forward(m, tokens[:4], want_cache=True)
-    for layer in cache["layers"]:
-        np.testing.assert_allclose(layer["attn"], 1.0 / SMALL_CFG.seq_len, atol=1e-15)
+    for attn in attention_of_every_layer(m, tokens[:4]):
+        np.testing.assert_allclose(attn, 1.0 / SMALL_CFG.seq_len, atol=1e-15)
 
 
 def test_attention_rows_sum_to_one_every_layer():
     m = small_model()
     tokens, _ = make_dataset(SMALL_TASK, SMALL_CFG, "train")
-    _, cache = forward(m, tokens, want_cache=True)
-    for layer in cache["layers"]:
-        np.testing.assert_allclose(layer["attn"].sum(axis=-1), 1.0, atol=1e-8)
+    for attn in attention_of_every_layer(m, tokens):
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-8)
 
 
 def test_identical_sequences_get_identical_logits():
@@ -272,6 +281,15 @@ def test_finetune_rejects_foreign_adapters():
         craft_finetune(m, adapters, *train_set(m, task), eta=0.1, steps=1)
 
 
+def test_unknown_projection_is_rejected():
+    m = small_model()
+    with pytest.raises(ValidationError, match=r"^projection must be one of \('Q', 'V'\), got 'K'$"):
+        build_adapters(m, TuckerRanks(1, 2, 2), projections=("K",))
+    foreign = {"K": build_adapters(m, TuckerRanks(1, 2, 2), projections=("Q",))["Q"]}
+    with pytest.raises(ValidationError, match=r"^adapter keys must be one of .*, got 'K'$"):
+        craft_finetune(m, foreign, *SMALL_TRAIN, eta=0.1, steps=1)
+
+
 def test_head_only_finetune_updates_only_head():
     task = SyntheticTask(seed=5, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=5), task, max_steps=60)
@@ -382,6 +400,9 @@ def test_toy_config_validation():
         ToyConfig(d_model=7)
     with pytest.raises(ValidationError):
         ToyConfig(n_layers=0)
+    # make_dataset labels every sample 0 or 1, so one class cannot hold them
+    with pytest.raises(ValidationError, match=r"^n_classes must be an integer >= 2, got 1$"):
+        ToyConfig(n_classes=1)
     with pytest.raises(ValidationError):
         SyntheticTask(rule="nonsense")
 

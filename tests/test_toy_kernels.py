@@ -22,6 +22,8 @@ from craft.toy import (
     SyntheticTask,
     ToyConfig,
     ToyModel,
+    _Buffers,
+    _forward,
     build_adapters,
     craft_finetune,
     forward,
@@ -151,9 +153,12 @@ def test_head_only_finetune_is_bitwise_equal_to_reference():
     assert tuned.head_b.tobytes() == ref.head_b.tobytes()
 
 
-def test_training_loops_reuse_buffers_without_carrying_state():
+@pytest.mark.parametrize("projections", [("Q",), ("V",), ("Q", "V")], ids=["Q", "V", "QV"])
+def test_training_loops_reuse_buffers_without_carrying_state(projections):
     """pretrain and craft_finetune keep one activation buffer set for all
-    their steps; every step must still equal a call on fresh buffers."""
+    their steps; every step must still equal a call on fresh buffers.  The
+    reference routes each adapter's upstream gradient on its own, and a
+    projection left out must keep the model's own stack bit for bit."""
     cfg = ToyConfig(seed=5)
     task = SyntheticTask(seed=5, train_size=64, eval_size=64)
     m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9, eval_every=5)
@@ -164,7 +169,8 @@ def test_training_loops_reuse_buffers_without_carrying_state():
     for name in GROUPS:
         assert getattr(m, name).tobytes() == getattr(ref, name).tobytes(), name
 
-    adapters = build_adapters(m, TuckerRanks(4, 8, 8))
+    adapters = build_adapters(m, TuckerRanks(4, 8, 8), projections=projections)
+    assert tuple(adapters) == projections
     train = make_dataset(task.flipped(), cfg, "train")
     tuned, losses = craft_finetune(m, adapters, *train, eta=0.5, steps=8, head_eta=0.2)
     ref, ref_losses = reference_craft_finetune(m, adapters, *train, eta=0.5, steps=8,
@@ -176,15 +182,19 @@ def test_training_loops_reuse_buffers_without_carrying_state():
     for name in adapters:
         for j, ref_j in zip(tuned.adapters[name].j_matrices, ref.adapters[name].j_matrices):
             assert j.tobytes() == ref_j.tobytes(), name
+    wq_eff, wv_eff = tuned.effective_qv()
+    for name, effective, own in (("Q", wq_eff, m.wq), ("V", wv_eff, m.wv)):
+        assert (effective.tobytes() == own.tobytes()) == (name not in projections), name
 
 
 @pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_forward_without_cache_equals_cached_logits(n_layers, craft_adapt):
-    """Without a cache the forward pass keeps one layer of activations and
-    alternates two ``x`` rows; the logits must not change by a bit."""
+    """``forward`` keeps one layer of activations and alternates two ``x``
+    rows; its logits must equal, bit for bit, those of the training pass's
+    buffers, which hold every layer."""
     cfg = ToyConfig(n_layers=n_layers, d_model=8, vocab_size=6, seq_len=5, seed=n_layers)
     model = random_model(cfg, seed=n_layers, ranks=TuckerRanks(1, 4, 4) if craft_adapt else None)
     tokens, _ = make_dataset(SyntheticTask(seed=n_layers, train_size=12), cfg, "train")
-    logits, _ = forward(model, tokens, want_cache=True)
+    logits = _forward(model, tokens, _Buffers(cfg, len(tokens), backward=True))[0]
     assert forward(model, tokens).tobytes() == logits.tobytes()
