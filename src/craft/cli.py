@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .analysis import SCALING_METHODS, dispersion, param_scaling
+from .analysis import PROJECTIONS as QKV, SCALING_METHODS, dispersion, param_scaling
 from .config import load_run_config
 from .errors import ConfigError, CraftError, FormatError
 from .tensor import stack_layers
@@ -157,7 +157,7 @@ def _cmd_train_toy(args) -> int:
                 _losses_text(baseline_losses))
 
     tucker_params = trainable_param_count(cfg.ranks, len(cfg.projections))
-    head_params = cfg.d_model * cfg.n_classes + cfg.n_classes
+    head_params = tuned.head_w.size + tuned.head_b.size
     summary_lines = [
         f"ranks={cfg.r1},{cfg.r2},{cfg.r3}",
         f"projections={','.join(cfg.projections)}",
@@ -184,12 +184,9 @@ def _load_analyze_layers(paths):
         q, k, v = items
         if not q.shape[0] == k.shape[0] == v.shape[0]:
             raise FormatError("Q, K, V stacks disagree on the layer count")
-        return [{"Q": q[l], "K": k[l], "V": v[l]} for l in range(q.shape[0])]
+        return [dict(zip(QKV, layer)) for layer in zip(q, k, v)]
     if len(items) % 3 == 0 and _all_of_ndim(items, 2):
-        return [
-            {"Q": items[3 * l], "K": items[3 * l + 1], "V": items[3 * l + 2]}
-            for l in range(len(items) // 3)
-        ]
+        return [dict(zip(QKV, items[l:l + 3])) for l in range(0, len(items), 3)]
     raise FormatError(
         "analyze input must be three Tensor3 stacks (Q K V) or per-layer "
         "triples of Matrix files in Q,K,V order"
@@ -205,7 +202,7 @@ def _cmd_analyze(args) -> int:
         "# fields: layer alpha k sigma explained_variance_ratio",
     ]
     for layer in report.layers:
-        for alpha in ("Q", "K", "V"):
+        for alpha in QKV:
             lines.append(
                 f"layer={layer.layer} alpha={alpha} k={layer.k} "
                 f"sigma={_fmt(layer.sigma[alpha])} "
@@ -215,7 +212,7 @@ def _cmd_analyze(args) -> int:
 
     print(f"{'layer':>5} {'alpha':>5} {'sigma':>12} {'evr':>8}")
     for layer in report.layers:
-        for alpha in ("Q", "K", "V"):
+        for alpha in QKV:
             print(f"{layer.layer:>5} {alpha:>5} {layer.sigma[alpha]:>12.6f} "
                   f"{layer.explained_variance_ratio:>8.4f}")
     print(f"wrote {args.output}")

@@ -12,7 +12,7 @@ Two operating modes:
 * craft-adapt: the weights of each adapted projection are read out of its
   adapter, and only the adaptation matrices plus the classifier head train.
   The backward pass then computes and returns only the gradients of what
-  trains: the head and the ``wq``/``wv`` upstream tensors.
+  trains: the head and the upstream tensor of each adapted projection.
 
 ``PROJECTIONS`` is the one place that says which projections can be adapted:
 it maps each to the ``ToyModel`` stack it replaces, which is also the
@@ -267,10 +267,11 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
     """Mean cross-entropy plus gradients for every parameter group that trains.
 
     Full-train mode returns all seven groups.  In craft-adapt mode
-    (``model.adapters`` set) only ``head_w``, ``head_b``, ``wq`` and ``wv``
-    come back: the frozen ``wk``, ``wo`` and embedding gradients are never
-    computed.  ``wq`` and ``wv`` (shape ``(n_layers, d, d)``) are then the
-    upstream tensors to feed :func:`craft.adapter.grad_j`.
+    (``model.adapters`` set) only ``head_w``, ``head_b`` and the stack of each
+    adapted projection (``PROJECTIONS[name]``, e.g. ``wq`` for ``"Q"``) come
+    back: the gradients of frozen stacks and embeddings are never computed.
+    Each such stack (shape ``(n_layers, d, d)``) is the upstream tensor to
+    feed :func:`craft.adapter.grad_j` for its adapter.
 
     Each call works in fresh activation buffers; the training loops in this
     module build theirs once and reuse them for every step.
@@ -284,12 +285,9 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
     """:func:`loss_and_grads` of validated inputs, working in ``buf``."""
     logits, pooled, wq_eff, wv_eff = _forward(model, tok, buf)
     loss, dlogits = cross_entropy(logits, labels)
-    full = model.adapters is None
-    g = {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0),
-         "wq": np.empty_like(model.wq), "wv": np.empty_like(model.wv)}
-    if full:
-        g.update(embeddings=np.zeros_like(model.embeddings),
-                 wk=np.empty_like(model.wk), wo=np.empty_like(model.wo))
+    stacks = BACKBONE if model.adapters is None else [PROJECTIONS[n] for n in model.adapters]
+    g = {name: np.empty_like(getattr(model, name)) for name in stacks}
+    g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
     batch, seq_len, d = len(tok), model.cfg.seq_len, model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
     dx, tmp = buf.dx, buf.tmp
@@ -299,7 +297,7 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
     for layer in range(model.cfg.n_layers - 1, -1, -1):
         x, q, k, v = buf.x[layer], buf.q[layer], buf.k[layer], buf.v[layer]
         attn = buf.attn[layer]
-        if full:
+        if "wo" in g:
             np.matmul(dx.T, buf.ctx[layer].reshape(-1, d), out=g["wo"][layer])
         np.matmul(dx, model.wo[layer], out=d_ctx)
         d_scores = np.matmul(buf.d_ctx, v.swapaxes(1, 2), out=buf.d_attn)
@@ -309,18 +307,21 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
         d_scores *= attn
         d_scores *= inv_sqrt_d
         np.matmul(d_scores, k, out=buf.d_q)
-        np.matmul(d_q.T, x, out=g["wq"][layer])
-        np.matmul(d_v.T, x, out=g["wv"][layer])
-        if not full and layer == 0:
+        if "wq" in g:
+            np.matmul(d_q.T, x, out=g["wq"][layer])
+        if "wv" in g:
+            np.matmul(d_v.T, x, out=g["wv"][layer])
+        if layer == 0 and "embeddings" not in g:
             break  # below layer 0, dx would only reach the frozen embeddings
         np.matmul(d_scores.swapaxes(1, 2), q, out=buf.d_k)
-        if full:
+        if "wk" in g:
             np.matmul(d_k.T, x, out=g["wk"][layer])
         dx += np.matmul(d_q, wq_eff[layer], out=tmp)
         dx += np.matmul(d_k, model.wk[layer], out=tmp)
         dx += np.matmul(d_v, wv_eff[layer], out=tmp)
 
-    if full:
+    if "embeddings" in g:
+        g["embeddings"].fill(0.0)  # np.add.at accumulates
         np.add.at(g["embeddings"], tok.ravel(), dx)
     return loss, g
 
@@ -419,7 +420,8 @@ def craft_finetune(
 
     ``tokens, labels`` is a task's train split from :func:`make_dataset`.
     Full-batch descent for ``steps`` steps; returns the adapted model and the
-    per-step loss curve.  The input model is left untouched.
+    per-step loss curve.  The input model is left untouched.  A non-finite
+    loss, gradient or update raises :class:`DivergenceError` with its step.
     """
     eta = check_real(eta, "eta")
     head_eta = eta if head_eta is None else check_real(head_eta, "head_eta")
@@ -428,7 +430,7 @@ def craft_finetune(
         if name not in PROJECTIONS:
             raise ValidationError(f"adapter keys must be one of {tuple(PROJECTIONS)}, got {name!r}")
         base = getattr(model, PROJECTIONS[name])
-        if a.w_original.shape != base.shape or not np.array_equal(a.w_original, base):
+        if not np.array_equal(a.w_original, base):
             raise ValidationError(
                 f"adapter {name} was not built from this model's stacked weights"
             )
@@ -439,20 +441,16 @@ def craft_finetune(
 
     losses = []
     for step in range(steps):
+        # every input was checked above, so a ValidationError here is an overflow
         try:
             loss, g = _loss_and_grads(tuned, tokens, labels, buf)
-        except ValidationError as err:
-            # the inputs were checked above, so only an overflowed adapter lands here
-            raise DivergenceError(f"fine-tuning overflowed: {err}", step=step) from err
-        if not np.isfinite(loss):
-            raise DivergenceError("fine-tuning loss became non-finite", step=step)
+            if not np.isfinite(loss):
+                raise DivergenceError("loss became non-finite")
+            for name, a in tuned.adapters.items():
+                tuned.adapters[name] = sgd_step(a, grad_j(a, g[PROJECTIONS[name]]), eta)
+        except (ValidationError, DivergenceError) as err:
+            raise DivergenceError(f"fine-tuning diverged: {err}", step=step) from err
         losses.append(loss)
-        for name in tuned.adapters:
-            grads = grad_j(tuned.adapters[name], g[PROJECTIONS[name]])
-            try:
-                tuned.adapters[name] = sgd_step(tuned.adapters[name], grads, eta)
-            except DivergenceError as err:
-                raise DivergenceError(f"fine-tuning overflowed: {err}", step=step) from err
         tuned.head_w -= head_eta * g["head_w"]
         tuned.head_b -= head_eta * g["head_b"]
     return tuned, losses
@@ -480,7 +478,7 @@ def head_only_finetune(
     for step in range(steps):
         loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)
         if not np.isfinite(loss):
-            raise DivergenceError("fine-tuning loss became non-finite", step=step)
+            raise DivergenceError("fine-tuning diverged: loss became non-finite", step=step)
         losses.append(loss)
         tuned.head_w -= eta * (pooled.T @ dlogits)
         tuned.head_b -= eta * dlogits.sum(axis=0)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,24 @@ def test_divergence_exits_6(tmp_path):
         code = main(["train-toy", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")])
     assert code == 6
+
+
+OVERFLOW_TOY = ("n_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\ntrain_size=64\n"
+                "eval_size=64\npretrain_steps=100\nr1=1\nr2=2\nr3=2\nsteps=30\n")
+
+
+@pytest.mark.parametrize("lines", [
+    "seed=0\neta=1e3\nhead_eta=1e6\n",  # the upstream gradient overflows in the backward
+    "seed=2\neta=1e4\n",                 # the adapter products in grad_j overflow
+], ids=["upstream", "grad_j"])
+def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + OVERFLOW_TOY)
+    with np.errstate(all="ignore"):
+        code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 6
+    assert re.fullmatch(r"error: fine-tuning diverged: .+ \(step \d+\)\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])

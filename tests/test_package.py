@@ -78,3 +78,18 @@ def test_only_toy_projections_names_the_adapted_projections():
                 offenders.append((module, node.lineno))
     assert tables == ["toy"]
     assert offenders == []
+
+
+def test_craft_finetune_owns_the_toys_only_exception_handler():
+    # every fine-tuning step runs inside one handler that reports an overflow
+    # or non-finite value as a DivergenceError with its step; the toy's
+    # inputs are checked up front, so no other code there catches anything
+    tree = ast.parse((Path(craft.__file__).parent / "toy.py").read_text(encoding="utf-8"))
+    owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)}
+    handlers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            handlers.append((owner.get(node), sorted(map(ast.unparse, filter(None, caught)))))
+    assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"])]

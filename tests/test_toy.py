@@ -367,6 +367,18 @@ def test_overflowing_update_is_reported_with_step():
     assert excinfo.value.step == 0
 
 
+def test_overflow_reaching_grad_j_is_reported_with_step():
+    cfg = ToyConfig(n_layers=2, d_model=8, vocab_size=8, seq_len=6)
+    m = ToyModel(cfg, np.random.default_rng(5))
+    # a huge head overflows the backward, and grad_j rejects the upstream gradient
+    m.head_w = 1e3 * np.random.default_rng(105).standard_normal(m.head_w.shape)
+    adapters = build_adapters(m, TuckerRanks(1, 2, 2))
+    train = make_dataset(SyntheticTask(seed=0, train_size=16, eval_size=16), cfg, "train")
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
+        craft_finetune(m, adapters, *train, eta=1e4, steps=20)
+    assert isinstance(excinfo.value.step, int)
+
+
 def test_pretrain_failure_is_explicit():
     from craft.errors import PretrainError
 

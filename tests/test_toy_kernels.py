@@ -9,8 +9,8 @@ to 1e-12 of the largest gradient entry instead. The head-only baseline changed n
 pooled features come from, so it must match its reference bit for bit.
 
 Only the groups that train are returned: all seven in full-train mode, and
-``head_w``, ``head_b``, ``wq`` and ``wv`` in craft-adapt mode, where the frozen
-``wk``, ``wo`` and embedding gradients are never computed.
+``head_w``, ``head_b`` and the stack of each adapted projection in craft-adapt
+mode, where the gradients of frozen stacks and embeddings are never computed.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craft.toy import (
+    PROJECTIONS,
     SyntheticTask,
     ToyConfig,
     ToyModel,
@@ -42,7 +43,6 @@ from toy_reference import (
 
 REL_TOL = 1e-12
 GROUPS = ("head_w", "head_b", "embeddings", "wq", "wk", "wv", "wo")
-CRAFT_GROUPS = ("head_w", "head_b", "wq", "wv")
 
 
 def uniform_attention_groups(tokens):
@@ -58,7 +58,10 @@ def assert_matches_reference(model, tokens, labels):
     loss, g = loss_and_grads(model, tokens, labels)
     ref_loss, ref_g = reference_loss_and_grads(model, tokens, labels)
     assert abs(loss - ref_loss) <= REL_TOL * abs(ref_loss)
-    assert set(g) == set(GROUPS if model.adapters is None else CRAFT_GROUPS)
+    if model.adapters is None:
+        assert set(g) == set(GROUPS)
+    else:
+        assert set(g) == {"head_w", "head_b"} | {PROJECTIONS[n] for n in model.adapters}
     zero_groups = uniform_attention_groups(tokens)
     noise_bound = REL_TOL * max(np.abs(ref_g[name]).max() for name in GROUPS)
     for name in g:
@@ -71,15 +74,16 @@ def assert_matches_reference(model, tokens, labels):
         assert err <= REL_TOL * np.abs(ref_g[name]).max(), (name, err)
 
 
-def random_model(cfg, seed, ranks=None):
+def random_model(cfg, seed, ranks=None, projections=tuple(PROJECTIONS)):
     """Model with a nonzero head, so every backbone gradient is nonzero; with
-    ``ranks`` the Q and V weights route through adapters (craft-adapt)."""
+    ``ranks`` the weights of ``projections`` route through adapters
+    (craft-adapt)."""
     rng = np.random.default_rng(seed)
     model = ToyModel(cfg, rng)
     model.head_w = 0.3 * rng.standard_normal(model.head_w.shape)
     model.head_b = 0.1 * rng.standard_normal(model.head_b.shape)
     if ranks is not None:
-        model.adapters = build_adapters(model, ranks)
+        model.adapters = build_adapters(model, ranks, projections=projections)
     return model
 
 
@@ -92,11 +96,15 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+@pytest.mark.parametrize("projections", [None, ("Q", "V"), ("Q",), ("V",)],
+                         ids=["full-train", "craft-adapt", "craft-adapt-Q", "craft-adapt-V"])
 @pytest.mark.parametrize("cfg,batch,ranks", CONFIGS)
-def test_loss_and_grads_match_einsum_reference(cfg, batch, ranks, craft_adapt):
-    model = random_model(cfg, seed=cfg.seed + 10, ranks=ranks if craft_adapt else None)
-    assert (model.adapters is not None) == craft_adapt
+def test_loss_and_grads_match_einsum_reference(cfg, batch, ranks, projections):
+    if projections is None:
+        model = random_model(cfg, seed=cfg.seed + 10)
+    else:
+        model = random_model(cfg, seed=cfg.seed + 10, ranks=ranks, projections=projections)
+        assert tuple(model.adapters) == projections
     task = SyntheticTask(seed=cfg.seed, train_size=batch, eval_size=batch)
     tokens, labels = make_dataset(task, cfg, "train")
     assert_matches_reference(model, tokens, labels)
