@@ -107,6 +107,13 @@ def _losses_text(losses) -> str:
 
 
 def _cmd_train_toy(args) -> int:
+    # every non-finite result is reported as DivergenceError (exit 6), so
+    # numpy's overflow warnings would only bury that one message
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train_toy(args)
+
+
+def _train_toy(args) -> int:
     cfg = load_run_config(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     model_dir = os.path.join(args.out_dir, "model")

@@ -121,19 +121,27 @@ def _pair_rotations(g: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep(b: np.ndarray, u: np.ndarray, blocks: int) -> tuple[float, float]:
+def _sweep_indices(blocks: int, k: int) -> tuple[np.ndarray, ...]:
+    """Index arrays every :func:`_sweep` over ``blocks`` blocks of ``k`` rows
+    reads: the row gather of one round, the seat gather of each pair Gram's
+    round-robin, and the rows and columns of a Gram's upper triangle."""
+    row_shift = (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
+    p, q = np.nonzero(np.arange(2 * k)[:, None] < np.arange(2 * k))
+    return row_shift, _circle_shift(2 * k), p, q
+
+
+def _sweep(b: np.ndarray, u: np.ndarray, blocks: int,
+           indices: tuple[np.ndarray, ...]) -> tuple[float, float]:
     """One outer sweep over the block pairs of the rows of ``b``, in place.
 
-    Rotates the rows of ``b`` and ``u`` alike.  Returns the off-diagonal mass,
-    the sum of squared off-diagonal entries of every pair Gram as it stood
-    before that pair's rotations, and the largest squared cosine
-    ``g_pq^2 / (g_pp g_qq)`` among those entries, pairs with a zero diagonal
-    entry skipped.
+    Rotates the rows of ``b`` and ``u`` alike; ``indices`` comes from
+    :func:`_sweep_indices`.  Returns the off-diagonal mass, the sum of squared
+    off-diagonal entries of every pair Gram as it stood before that pair's
+    rotations, and the largest squared cosine ``g_pq^2 / (g_pp g_qq)`` among
+    those entries, pairs with a zero diagonal entry skipped.
     """
+    row_shift, pair_shift, p, q = indices
     k = b.shape[0] // blocks
-    row_shift = (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
-    pair_shift = _circle_shift(2 * k)
-    p, q = np.nonzero(np.arange(2 * k)[:, None] < np.arange(2 * k))
     off = cosine = 0.0
     # blocks - 1 rounds bring the rows back to their original order
     for _ in range(blocks - 1):
@@ -175,11 +183,12 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     b = np.zeros((blocks * k, cols))
     b[:rows] = a
     u = np.eye(blocks * k, rows)
+    indices = _sweep_indices(blocks, k)
 
     sweeps = 0
     while True:
         sweeps += 1
-        off, cosine = _sweep(b, u, blocks)
+        off, cosine = _sweep(b, u, blocks, indices)
         residual = math.sqrt(off) / scale
         if residual <= OFF_TOL and cosine <= REL_TOL:
             break

@@ -19,9 +19,10 @@ it maps each to the ``ToyModel`` stack it replaces, which is also the
 ``loss_and_grads`` key of that stack's upstream gradient.
 
 The backward pass is hand-derived for this fixed architecture and checked
-against central finite differences in the test suite.  Each training or
-evaluation loop builds one set of activation buffers and writes every step
-into it, so steps allocate only small per-step arrays.
+against central finite differences in the test suite.  Each training loop
+builds one set of activation buffers and writes every step into it, so steps
+allocate only small per-step arrays; the loop's evaluations run through the
+same set in chunks of its batch.
 """
 
 from __future__ import annotations
@@ -196,21 +197,26 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """Activations for one batch size, overwritten in place by every pass.
+    """Activations for up to ``batch`` sequences, overwritten in place by every pass.
 
+    A pass over fewer sequences works in the leading slice of each buffer.
     Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
-    ``q``, ``k``, ``v``, ``attn`` and ``ctx`` hold layer ``l`` in slot
-    ``l % depth``.  Training needs every layer and the backward scratch; a
-    forward-only pass keeps depth 1, so ``x`` alternates between two rows.
+    ``q``, ``k``, ``v`` and ``attn`` hold layer ``l`` in slot ``l % depth``.
+    ``ctx`` holds one layer: the backward pass recomputes it from ``attn``
+    and ``v`` where it needs it.  Training needs every layer and the backward
+    scratch; a forward-only pass keeps depth 1, so ``x`` alternates between
+    two rows.
     """
 
     def __init__(self, cfg: ToyConfig, batch: int, backward: bool):
+        self.batch = batch
         depth = cfg.n_layers if backward else 1
         flat = (batch * cfg.seq_len, cfg.d_model)
         acts, scores = (batch, cfg.seq_len, cfg.d_model), (batch, cfg.seq_len, cfg.seq_len)
         self.x = np.empty((depth + 1, *flat))
-        self.q, self.k, self.v, self.ctx = (np.empty((depth, *acts)) for _ in range(4))
+        self.q, self.k, self.v = (np.empty((depth, *acts)) for _ in range(3))
         self.attn = np.empty((depth, *scores))
+        self.ctx = np.empty(acts)
         if backward:
             self.dx, self.tmp = np.empty(flat), np.empty(flat)
             self.d_ctx, self.d_v, self.d_q, self.d_k = (np.empty(acts) for _ in range(4))
@@ -219,18 +225,19 @@ class _Buffers:
 
 def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers):
     """Logits, pooled features and effective Q/V stacks of validated ``tok``;
-    every activation is written into ``buf``."""
+    every activation is written into the leading ``len(tok)`` sequences of
+    ``buf``."""
     n_layers, d = model.cfg.n_layers, model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = model.effective_qv()
-    depth, n_x = len(buf.q), len(buf.x)
+    batch, depth, n_x = len(tok), len(buf.q), len(buf.x)
+    xs, ctx = buf.x[:, :tok.size], buf.ctx[:batch]
     # activations are (batch * seq_len, d) so each projection is one GEMM;
     # the ids are checked, and mode="raise" would copy through a temporary
-    np.take(model.embeddings, tok.ravel(), axis=0, out=buf.x[0], mode="clip")
+    np.take(model.embeddings, tok.ravel(), axis=0, out=xs[0], mode="clip")
     for layer in range(n_layers):
-        x, x_out = buf.x[layer % n_x], buf.x[(layer + 1) % n_x]
-        q, k, v = buf.q[layer % depth], buf.k[layer % depth], buf.v[layer % depth]
-        attn, ctx = buf.attn[layer % depth], buf.ctx[layer % depth]
+        x, x_out = xs[layer % n_x], xs[(layer + 1) % n_x]
+        q, k, v, attn = (a[layer % depth, :batch] for a in (buf.q, buf.k, buf.v, buf.attn))
         np.matmul(x, wq_eff[layer].T, out=q.reshape(-1, d))
         np.matmul(x, model.wk[layer].T, out=k.reshape(-1, d))
         np.matmul(x, wv_eff[layer].T, out=v.reshape(-1, d))
@@ -240,7 +247,7 @@ def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers):
         np.matmul(attn, v, out=ctx)
         np.matmul(ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
         x_out += x
-    pooled = buf.x[n_layers % n_x].reshape(len(tok), -1, d).mean(axis=1)
+    pooled = xs[n_layers % n_x].reshape(batch, -1, d).mean(axis=1)
     logits = pooled @ model.head_w + model.head_b
     return logits, pooled, wq_eff, wv_eff
 
@@ -298,7 +305,9 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
         x, q, k, v = buf.x[layer], buf.q[layer], buf.k[layer], buf.v[layer]
         attn = buf.attn[layer]
         if "wo" in g:
-            np.matmul(dx.T, buf.ctx[layer].reshape(-1, d), out=g["wo"][layer])
+            # ctx holds the last layer the forward wrote; recompute this one's
+            np.matmul(attn, v, out=buf.ctx)
+            np.matmul(dx.T, buf.ctx.reshape(-1, d), out=g["wo"][layer])
         np.matmul(dx, model.wo[layer], out=d_ctx)
         d_scores = np.matmul(buf.d_ctx, v.swapaxes(1, 2), out=buf.d_attn)
         np.matmul(attn.swapaxes(1, 2), buf.d_ctx, out=buf.d_v)
@@ -332,7 +341,15 @@ def evaluate(model: ToyModel, tokens, labels) -> float:
 
 
 def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffers) -> float:
-    preds = np.argmax(_forward(model, tok, buf)[0], axis=1)
+    """Accuracy on validated inputs, run through ``buf`` in chunks of its batch.
+
+    The head is applied once, to every pooled row, so the logits do not
+    depend on where the chunks split.
+    """
+    pooled = np.empty((len(tok), model.cfg.d_model))
+    for start in range(0, len(tok), buf.batch):
+        pooled[start:start + buf.batch] = _forward(model, tok[start:start + buf.batch], buf)[1]
+    preds = np.argmax(pooled @ model.head_w + model.head_b, axis=1)
     return float(np.mean(preds == labels))
 
 
@@ -363,9 +380,9 @@ def pretrain(
     tokens, labels = _check_batch(model, *make_dataset(task, cfg, "train"))
     eval_tokens, eval_labels = _check_batch(model, *make_dataset(task, cfg, "eval"))
     buf = _Buffers(cfg, len(tokens), backward=True)
-    eval_buf = _Buffers(cfg, len(eval_tokens), backward=False)
 
     losses = []
+    acc = None  # eval accuracy of the current parameters, once known
     for step in range(max_steps):
         loss, g = _loss_and_grads(model, tokens, labels, buf)
         if not np.isfinite(loss):
@@ -374,11 +391,13 @@ def pretrain(
         for name in PARAMS:
             arr = getattr(model, name)
             arr -= eta * g[name]
+        acc = None
         if (step + 1) % eval_every == 0:
-            acc = _evaluate(model, eval_tokens, eval_labels, eval_buf)
+            acc = _evaluate(model, eval_tokens, eval_labels, buf)
             if acc >= target_acc:
                 break
-    acc = _evaluate(model, eval_tokens, eval_labels, eval_buf)
+    if acc is None:
+        acc = _evaluate(model, eval_tokens, eval_labels, buf)
     if acc < 0.75:
         raise PretrainError(
             f"pretraining reached eval accuracy {acc:.3f} < 0.75 after "

@@ -276,13 +276,11 @@ def test_pretrain_failure_exits_5(tmp_path):
 
 
 def test_divergence_exits_6(tmp_path):
-    import numpy as np
-
+    # train-toy silences numpy's overflow warnings itself; this suite makes
+    # every warning an error, so one escaping would fail the call
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pretrain_eta=1e8\ntrain_size=32\neval_size=32\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train-toy", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "o")])
+    code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 6
 
 
@@ -290,18 +288,31 @@ OVERFLOW_TOY = ("n_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\ntrain_size=64\n
                 "eval_size=64\npretrain_steps=100\nr1=1\nr2=2\nr3=2\nsteps=30\n")
 
 
-@pytest.mark.parametrize("lines", [
+OVERFLOWS = pytest.mark.parametrize("lines", [
     "seed=0\neta=1e3\nhead_eta=1e6\n",  # the upstream gradient overflows in the backward
     "seed=2\neta=1e4\n",                 # the adapter products in grad_j overflow
 ], ids=["upstream", "grad_j"])
+DIVERGED = r"error: fine-tuning diverged: .+ \(step \d+\)\n"
+
+
+@OVERFLOWS
 def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, lines):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines + OVERFLOW_TOY)
-    with np.errstate(all="ignore"):
-        code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 6
-    assert re.fullmatch(r"error: fine-tuning diverged: .+ \(step \d+\)\n",
-                        capsys.readouterr().err)
+    assert re.fullmatch(DIVERGED, capsys.readouterr().err)
+
+
+@OVERFLOWS
+def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines):
+    """Run as a user runs it, with Python's default warning filters: numpy's
+    RuntimeWarnings must not reach stderr ahead of the one error line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + OVERFLOW_TOY)
+    proc = _craft(tmp_path, "train-toy", "--config", str(cfg), "--out-dir", "o")
+    assert proc.returncode == 6
+    assert re.fullmatch(DIVERGED, proc.stderr)
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])
@@ -334,27 +345,38 @@ TINY_TOY = ("seed=0\nn_layers=2\nd_model=16\nvocab_size=8\nseq_len=5\ntrain_size
             "eval_size=64\nsteps=5\nr1=1\nr2=4\nr3=4\n")
 
 
+def _craft(cwd, *args, **env):
+    """``craft *args`` run in ``cwd`` as a subprocess, ``env`` added to its environment."""
+    src = str(Path(craft.__file__).parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "craft.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 def _run_with_blas_threads(threads, cwd, *args):
     """stdout and per-file SHA-256 of ``craft *args`` run in ``cwd`` as a subprocess."""
     cwd.mkdir()
-    src = str(Path(craft.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "craft.cli", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+    proc = _craft(cwd, *args, OPENBLAS_NUM_THREADS=str(threads))
+    proc.check_returncode()
     return proc.stdout, {p.relative_to(cwd).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in sorted(cwd.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("command", ["decompose", "train-toy"])
-def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, command):
+# eval_size=96 evaluates pretraining in a 64-sequence chunk and a 32-sequence one
+@pytest.mark.parametrize("command,config", [
+    ("decompose", None),
+    ("train-toy", TINY_TOY),
+    ("train-toy", TINY_TOY.replace("eval_size=64", "eval_size=96")),
+], ids=["decompose", "train-toy", "train-toy-eval-chunks"])
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, command, config):
     if command == "decompose":
         source = tmp_path / "w.crft"
         write_tensor3(source, np.random.default_rng(0).standard_normal((12, 64, 64)))
         args = ["decompose", "--input", str(source), "--ranks", "4,16,16", "--output", "f.crft"]
     else:
         source = tmp_path / "run.cfg"
-        source.write_text(TINY_TOY)
+        source.write_text(config)
         args = ["train-toy", "--config", str(source), "--out-dir", "out"]
     stdout, digests = _run_with_blas_threads(1, tmp_path / "one", *args)
     assert digests

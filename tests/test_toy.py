@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from craft import toy
 from craft.errors import DivergenceError, ValidationError
 from craft.toy import (
     SyntheticTask,
@@ -157,6 +158,36 @@ def test_pretrain_reaches_target_and_is_deterministic():
     for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
         assert np.array_equal(getattr(m1, name), getattr(m2, name))
     assert m1.pretrain_losses == m2.pretrain_losses
+
+
+def test_pretrain_builds_one_buffer_set(monkeypatch):
+    """Training steps and evaluations share one activation set."""
+    built = []
+    monkeypatch.setattr(toy, "_Buffers", lambda *args, **kw: built.append(args) or
+                        _Buffers(*args, **kw))
+    pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=16, eval_size=40), eta=0.5,
+             max_steps=10, target_acc=2.0)
+    assert len(built) == 1
+
+
+# at eta=0.5 this run's eval accuracy is 0.85 from step 5 on; each evaluation
+# of its 40 sequences runs through the 16-sequence training set in 3 chunks
+@pytest.mark.parametrize("max_steps,target_acc,steps,evals", [
+    (20, 0.8, 5, 1),   # the target is reached at the first evaluation
+    (10, 2.0, 10, 2),  # the budget ends on an evaluation
+    (12, 2.0, 12, 3),  # the budget ends two steps past one: evaluate once more
+], ids=["target", "budget-on-eval", "budget-between-evals"])
+def test_pretrain_evaluates_each_model_once(monkeypatch, max_steps, target_acc, steps, evals):
+    task = SyntheticTask(seed=1, train_size=16, eval_size=40)
+    calls = []
+    monkeypatch.setattr(toy, "_forward", lambda *args: calls.append(len(args[1])) or
+                        _forward(*args))
+    m = pretrain(SMALL_CFG, task, eta=0.5, max_steps=max_steps, target_acc=target_acc,
+                 eval_every=5)
+    assert len(m.pretrain_losses) == steps
+    assert calls.count(8) == evals  # the last chunk of each evaluation
+    assert len(calls) == steps + 3 * evals
+    assert m.pretrain_eval_acc == evaluate(m, *make_dataset(task, SMALL_CFG, "eval"))
 
 
 def test_epsilon_zero_adapters_preserve_logits():

@@ -26,7 +26,9 @@ from craft.toy import (
     _Buffers,
     _forward,
     build_adapters,
+    _evaluate,
     craft_finetune,
+    evaluate,
     forward,
     head_only_finetune,
     loss_and_grads,
@@ -161,14 +163,19 @@ def test_head_only_finetune_is_bitwise_equal_to_reference():
     assert tuned.head_b.tobytes() == ref.head_b.tobytes()
 
 
+@pytest.mark.parametrize("train_size,eval_size", [(64, 64), (64, 150), (96, 40)],
+                         ids=["one-chunk", "partial-chunk", "short-chunk"])
 @pytest.mark.parametrize("projections", [("Q",), ("V",), ("Q", "V")], ids=["Q", "V", "QV"])
-def test_training_loops_reuse_buffers_without_carrying_state(projections):
+def test_training_loops_reuse_buffers_without_carrying_state(projections, train_size,
+                                                             eval_size):
     """pretrain and craft_finetune keep one activation buffer set for all
-    their steps; every step must still equal a call on fresh buffers.  The
-    reference routes each adapter's upstream gradient on its own, and a
-    projection left out must keep the model's own stack bit for bit."""
+    their steps, and pretrain evaluates through it in chunks of the training
+    batch; every step and evaluation must still equal a call on fresh
+    buffers.  The reference routes each adapter's upstream gradient on its
+    own, and a projection left out must keep the model's own stack bit for
+    bit."""
     cfg = ToyConfig(seed=5)
-    task = SyntheticTask(seed=5, train_size=64, eval_size=64)
+    task = SyntheticTask(seed=5, train_size=train_size, eval_size=eval_size)
     m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9, eval_every=5)
     ref, ref_losses = reference_pretrain(cfg, task, eta=0.05, max_steps=60,
                                          target_acc=0.9, eval_every=5)
@@ -176,6 +183,7 @@ def test_training_loops_reuse_buffers_without_carrying_state(projections):
     assert m.pretrain_losses == ref_losses
     for name in GROUPS:
         assert getattr(m, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert m.pretrain_eval_acc == evaluate(ref, *make_dataset(task, cfg, "eval"))
 
     adapters = build_adapters(m, TuckerRanks(4, 8, 8), projections=projections)
     assert tuple(adapters) == projections
@@ -206,3 +214,40 @@ def test_forward_without_cache_equals_cached_logits(n_layers, craft_adapt):
     tokens, _ = make_dataset(SyntheticTask(seed=n_layers, train_size=12), cfg, "train")
     logits = _forward(model, tokens, _Buffers(cfg, len(tokens), backward=True))[0]
     assert forward(model, tokens).tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+@pytest.mark.parametrize("n", [1, 7, 20, 100])
+def test_evaluate_in_chunks_equals_fresh_buffers(n, craft_adapt):
+    """``_evaluate`` through a training set of batch 7 runs ``n`` sequences
+    in chunks of 7, the last one partial, and must equal public ``evaluate``.
+    The labels are the public predictions, so any row predicted differently
+    lowers the accuracy below 1, and the buffers start as NaN, so a row read
+    before it is written shows."""
+    cfg = ToyConfig(n_layers=3, d_model=8, vocab_size=6, seq_len=5, n_classes=3, seed=4)
+    model = random_model(cfg, seed=4, ranks=TuckerRanks(1, 4, 4) if craft_adapt else None)
+    tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, (n, cfg.seq_len))
+    labels = np.argmax(forward(model, tokens), axis=1)
+    buf = _Buffers(cfg, 7, backward=True)
+    for arr in vars(buf).values():
+        if isinstance(arr, np.ndarray):
+            arr.fill(np.nan)
+    assert evaluate(model, tokens, labels) == 1.0
+    assert _evaluate(model, tokens, labels, buf) == 1.0
+
+
+@pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward-only"])
+def test_buffers_hold_one_layer_of_ctx(backward):
+    """``ctx`` is one layer of ``(batch, seq_len, d)``; the backward pass
+    recomputes it.  Every other activation keeps its documented depth."""
+    cfg = ToyConfig(n_layers=4, d_model=6, seq_len=5)
+    batch, s, d = 3, cfg.seq_len, cfg.d_model
+    buf = _Buffers(cfg, batch, backward=backward)
+    assert buf.ctx.shape == (batch, s, d)
+    depth = cfg.n_layers if backward else 1
+    # x keeps depth + 1 rows, q, k, v depth and ctx one; the backward scratch
+    # is dx, tmp and four (batch, s, d) gradients plus two score-sized ones
+    acts = (depth + 1) + 3 * depth + 1 + (6 if backward else 0)
+    scores = depth + (2 if backward else 0)
+    nbytes = sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
+    assert nbytes == 8 * batch * s * (acts * d + scores * s)
