@@ -19,7 +19,11 @@ round-robin sweep of two-sided Jacobi on it yields the pair's accumulated
 rotation, which batched matrix products then apply to the columns and to
 ``u``.  That block Gram only steers the rotations; the global Gram
 ``m @ m.T`` is never formed.  A zero padding column has a zero Gram row, so
-it is never rotated and never returned.
+it is never rotated and never returned.  A round whose pair Grams already
+meet the stopping rule on their own (their share of the off-diagonal bound,
+and every squared cosine) is not rotated: its columns only move on to the
+next round's pairs.  So the sweep that finds a solve converged rotates
+nothing when the columns fit one block pair.
 
 Sign convention for every returned vector: the entry of largest magnitude is
 nonnegative (ties broken by lowest index), so repeated runs and serialized
@@ -56,7 +60,11 @@ class TruncatedSVD:
     at most ``OFF_TOL`` (both 0 for the zero matrix).  The last sweep also saw
     every pair of nonzero rows at a squared cosine ``g_pq^2 / (g_pp g_qq)`` of
     at most ``REL_TOL`` (Demmel & Veselić, SIMAX 1992), which the absolute
-    measure cannot see for rows near ``OFF_TOL`` times the largest.
+    measure cannot see for rows near ``OFF_TOL`` times the largest.  Rounds
+    whose pair Grams already meet both bounds (the off-diagonal one split
+    evenly over a sweep's rounds) are not rotated.  A sweep that rotates
+    nothing ends the solve, its ``residual`` within rounding of ``OFF_TOL``,
+    and the vectors are then exactly the state it measured.
     """
 
     left_vectors: np.ndarray
@@ -86,63 +94,97 @@ def _circle_shift(n: int) -> np.ndarray:
     return shift
 
 
-def _pair_rotations(g: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _rotation_indices(batch: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into one work buffer of :func:`_pair_rotations`.
+
+    The buffer, shape ``(3, batch, n2, n2)``, holds the Grams, the
+    accumulated rotations and the transposed Grams.  Returns the positions of
+    each seat pair's ``(g_pp, g_qq, g_pq)``, shape ``(3, batch, n2 // 2)``,
+    and the gather that moves the items on one round (:func:`_circle_shift`)
+    in the rows and columns of the transposed Grams and in the columns of
+    the rotations, shape ``(2, batch, n2, n2)``.
+    """
+    size = n2 * n2
+    at = np.arange(batch)[:, None] * size
+    p = np.arange(0, n2, 2) * (n2 + 1)
+    seats = np.stack([p, p + n2 + 1, p + 1])[:, None, :] + at
+    shift = _circle_shift(n2)
+    grams = 2 * batch * size + at[:, :, None] + shift[:, None] * n2 + shift
+    rotations = batch * size + at[:, :, None] + np.arange(0, size, n2)[:, None] + shift
+    return seats, np.stack([grams, rotations])
+
+
+def _pair_rotations(g: np.ndarray, indices: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One round-robin sweep of two-sided Jacobi on each Gram in ``g``.
 
-    ``g`` is a stack of symmetric ``2k x 2k`` matrices and is consumed.
-    Returns the accumulated rotations, one orthogonal ``2k x 2k`` matrix per
-    Gram.  Each step rotates the ``k`` disjoint seat pairs ``(2i, 2i+1)`` of
-    every Gram at once and then moves the items on by ``shift``.
+    ``g`` is a stack of ``batch`` symmetric ``n2 x n2`` matrices, ``n2``
+    even, and ``indices`` comes from :func:`_rotation_indices`.  Returns the
+    accumulated rotations, one orthogonal ``n2 x n2`` matrix per Gram.  Each
+    step rotates the ``n2 / 2`` disjoint seat pairs ``(2i, 2i+1)`` of every
+    Gram at once and then moves the items on one round.
     """
+    seats, gather = indices
     batch, n2, _ = g.shape
-    flat_shift = (shift[:, None] * n2 + shift).ravel()
-    v = np.broadcast_to(np.eye(n2), g.shape).copy()
+    work = np.empty((2, 3, batch, n2, n2))
+    work[0, 0] = g
+    work[0, 1] = np.eye(n2)
+    # two work buffers in turn: a step rotates in one and gathers into the
+    # other.  Per buffer: itself, its Grams and rotations (also as complex
+    # column pairs) and its transposed Grams as complex column pairs.
+    cur, nxt = [(w, w[:2], w[:2].view(np.complex128), w[2].view(np.complex128))
+                for w in work]
+    t = np.empty((batch, n2 // 2))
+    rot = np.empty((batch, 1, n2 // 2), np.complex128)
+    c, s = rot.real[:, 0], rot.imag[:, 0]
     for _ in range(n2 - 1):
-        diag = np.diagonal(g, axis1=1, axis2=2)
-        alpha = diag[:, 0::2]
-        beta = diag[:, 1::2]
-        gamma = np.diagonal(g[:, 0::2, 1::2], axis1=1, axis2=2)
+        w, _, pairs, turned = cur
+        alpha, beta, gamma = w.take(seats)
         tau = 0.5 * (beta - alpha)
         rotate = (gamma != 0.0) & (gamma * gamma > 1e-32 * alpha * beta)
         # t = tan of the rotation angle: the root of t^2 + (2 tau / gamma) t = 1
         # of smaller magnitude, so the angle is at most pi/4; 0 where skipped
-        t = np.divide(gamma, tau + np.copysign(np.hypot(tau, gamma), tau),
-                      out=np.zeros_like(gamma), where=rotate)
-        # the rotation of columns (p, q) = (2i, 2i+1) by (c, s) is the complex
-        # product (col_p + i col_q) * (c + i s); t = 0 makes it exactly 1
-        rot = ((1.0 + 1j * t) / np.hypot(1.0, t))[:, None, :]
-        v.view(np.complex128).__imul__(rot)
-        g.view(np.complex128).__imul__(rot)
+        t.fill(0.0)
+        np.divide(gamma, tau + np.copysign(np.hypot(tau, gamma), tau), out=t, where=rotate)
+        # c + i s = (1 + i t) / hypot(1, t), rounded as numpy's complex division
+        # rounds it.  The rotation of columns (p, q) = (2i, 2i+1) by (c, s) is
+        # the complex product (col_p + i col_q) * (c + i s); t = 0 makes it 1
+        np.divide(1.0, np.hypot(1.0, t), out=c)
+        np.multiply(t, c, out=s)
+        pairs *= rot
         # g is symmetric, so (g J)^T = J^T g: rotating its columns gives J^T g J
-        g = np.ascontiguousarray(g.transpose(0, 2, 1))
-        g.view(np.complex128).__imul__(rot)
-        g = np.take(g.reshape(batch, -1), flat_shift, axis=1).reshape(batch, n2, n2)
-        v = np.take(v, shift, axis=2)
-    return v
+        np.copyto(w[2], w[0].transpose(0, 2, 1))
+        turned *= rot
+        w.take(gather, out=nxt[1], mode="clip")
+        cur, nxt = nxt, cur
+    return cur[0][1]
 
 
-def _sweep_indices(blocks: int, k: int) -> tuple[np.ndarray, ...]:
+def _sweep_indices(blocks: int, k: int) -> tuple:
     """Index arrays every :func:`_sweep` over ``blocks`` blocks of ``k`` rows
-    reads: the row gather of one round, the seat gather of each pair Gram's
-    round-robin, and the rows and columns of a Gram's upper triangle."""
+    reads: the row gather of one round, the rows and columns of a pair
+    Gram's upper triangle, and the indices of :func:`_pair_rotations`."""
     row_shift = (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
     p, q = np.nonzero(np.arange(2 * k)[:, None] < np.arange(2 * k))
-    return row_shift, _circle_shift(2 * k), p, q
+    return row_shift, p, q, _rotation_indices(blocks // 2, 2 * k)
 
 
-def _sweep(b: np.ndarray, u: np.ndarray, blocks: int,
-           indices: tuple[np.ndarray, ...]) -> tuple[float, float]:
+def _sweep(b: np.ndarray, u: np.ndarray, blocks: int, indices: tuple,
+           scale: float) -> tuple[float, float, bool]:
     """One outer sweep over the block pairs of the rows of ``b``, in place.
 
     Rotates the rows of ``b`` and ``u`` alike; ``indices`` comes from
-    :func:`_sweep_indices`.  Returns the off-diagonal mass, the sum of squared
-    off-diagonal entries of every pair Gram as it stood before that pair's
-    rotations, and the largest squared cosine ``g_pq^2 / (g_pp g_qq)`` among
-    those entries, pairs with a zero diagonal entry skipped.
+    :func:`_sweep_indices` and ``scale`` is ``||b||_F^2``.  Returns the
+    off-diagonal mass, the sum of squared off-diagonal entries of every pair
+    Gram as it stood before that pair's rotations, the largest squared cosine
+    ``g_pq^2 / (g_pp g_qq)`` among those entries, pairs with a zero diagonal
+    entry skipped, and whether any round rotated.  A round whose Grams meet
+    the stopping rule on their own, with the off-diagonal bound shared
+    equally among the ``blocks - 1`` rounds, only moves its rows on.
     """
-    row_shift, pair_shift, p, q = indices
+    row_shift, p, q, rotation_indices = indices
     k = b.shape[0] // blocks
     off = cosine = 0.0
+    rotated = False
     # blocks - 1 rounds bring the rows back to their original order
     for _ in range(blocks - 1):
         xb = b[row_shift].reshape(blocks // 2, 2 * k, -1)
@@ -150,15 +192,24 @@ def _sweep(b: np.ndarray, u: np.ndarray, blocks: int,
         g = xb @ xb.transpose(0, 2, 1)
         # masked sum: ||g||^2 - sum(diag^2) would cancel to rounding level
         pairs = np.square(g[:, p, q])
-        off += float(np.sum(pairs))
+        round_off = float(np.sum(pairs))
         diag = np.diagonal(g, axis1=1, axis2=2)
         norms = diag[:, p] * diag[:, q]
-        cosine = max(cosine, float(np.max(pairs / np.where(norms > 0.0, norms, np.inf))))
-        vt = _pair_rotations(g, pair_shift).transpose(0, 2, 1)
-        np.matmul(vt, xb, out=b.reshape(xb.shape))
-        np.matmul(vt, xu, out=u.reshape(xu.shape))
+        round_cosine = float(np.max(pairs / np.where(norms > 0.0, norms, np.inf)))
+        off += round_off
+        cosine = max(cosine, round_cosine)
+        # the stopping rule's own form: with one block pair a round is skipped
+        # exactly when the sweep meets the rule
+        if math.sqrt(round_off * (blocks - 1)) / scale <= OFF_TOL and round_cosine <= REL_TOL:
+            b[...] = xb.reshape(b.shape)
+            u[...] = xu.reshape(u.shape)
+        else:
+            vt = _pair_rotations(g, rotation_indices).transpose(0, 2, 1)
+            np.matmul(vt, xb, out=b.reshape(xb.shape))
+            np.matmul(vt, xu, out=u.reshape(xu.shape))
+            rotated = True
         del xb, xu  # the next round's gathers reuse their memory
-    return off, cosine
+    return off, cosine, rotated
 
 
 def truncated_svd(m, r: int) -> TruncatedSVD:
@@ -188,9 +239,10 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     sweeps = 0
     while True:
         sweeps += 1
-        off, cosine = _sweep(b, u, blocks, indices)
+        off, cosine, rotated = _sweep(b, u, blocks, indices, scale)
         residual = math.sqrt(off) / scale
-        if residual <= OFF_TOL and cosine <= REL_TOL:
+        # a sweep that rotated nothing would repeat itself exactly
+        if (residual <= OFF_TOL and cosine <= REL_TOL) or not rotated:
             break
         if sweeps >= SWEEP_CAP_FACTOR * rows:
             raise ConvergenceError(

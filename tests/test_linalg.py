@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from craft import linalg
 from craft.errors import ConvergenceError, RankError
-from craft.linalg import OFF_TOL, _circle_shift, _fix_signs, truncated_svd
+from craft.linalg import (OFF_TOL, _circle_shift, _fix_signs, _pair_rotations,
+                          _rotation_indices, truncated_svd)
+from jacobi_reference import reference_pair_rotations
 
 
 def test_svd_diagonal():
@@ -170,6 +172,67 @@ def test_svd_matches_lapack_oracle(rows, cols, rank, repeated, max_block, seed):
     assert np.array_equal(res.left_vectors, again.left_vectors)
     assert np.array_equal(res.singular_values, again.singular_values)
     assert (res.sweeps, res.residual) == (again.sweeps, again.residual)
+
+
+@pytest.mark.parametrize("rows, rank", [(130, 130), (130, 90)])
+def test_svd_several_rounds_match_lapack_oracle(rows, rank):
+    # 130 rows take six blocks of 22 at the default MAX_BLOCK: five rounds
+    # per sweep, two zero padding rows, three block pairs per round
+    rng = np.random.default_rng(rank)
+    spectrum = rng.uniform(0.1, 10.0, size=rank)
+    m = (_orthonormal(rng, rows, rank) * spectrum) @ _orthonormal(rng, 200, rank).T
+    res = truncated_svd(m, rows)
+    oracle = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(res.singular_values - oracle)) <= 1e-12 * oracle[0]
+    u = res.left_vectors
+    assert np.max(np.abs(u.T @ u - np.eye(rows))) <= 1e-12
+    assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(rows)] >= 0.0)
+
+
+@pytest.mark.parametrize("rows", [5, 130])
+def test_svd_converged_input_is_not_rotated(rows):
+    # rows orthogonal to about 1e-13 relative: inside the stopping rule, but
+    # well above the 1e-16 cosine from which the inner sweep rotates a pair
+    rng = np.random.default_rng(rows)
+    cols = rows + 3
+    m = np.linspace(1.0, 2.0, rows)[:, None] * (
+        np.eye(rows, cols) + 1e-13 * rng.standard_normal((rows, cols)))
+    res = truncated_svd(m, rows)
+    assert res.sweeps == 1
+    assert 0.0 < res.residual <= OFF_TOL
+    u = res.left_vectors
+    assert np.all((u == 0.0) | (np.abs(u) == 1.0))
+    assert np.array_equal(np.abs(u).sum(axis=0), np.ones(rows))
+
+
+def _pair_grams(rng, batch, n2):
+    """Gram stacks of every kind the inner sweep must treat alike."""
+    x = rng.standard_normal((batch, n2, n2 + 3))
+    yield x @ x.transpose(0, 2, 1)
+    # zero padding rows give zero Gram rows and columns
+    x[:, n2 // 2 + n2 // 4:] = 0.0
+    yield x @ x.transpose(0, 2, 1)
+    # exactly diagonal: nothing to rotate
+    yield np.stack([np.diag(rng.uniform(0.5, 2.0, n2)) for _ in range(batch)])
+    # tied diagonals: tau = 0 for every seat pair of the first step; raising
+    # each diagonal entry to the largest keeps the Gram positive semidefinite
+    g = x @ x.transpose(0, 2, 1)
+    diag = np.arange(n2)
+    g[:, diag, diag] = np.max(g[:, diag, diag])
+    yield g
+
+
+@pytest.mark.parametrize("n2", [2, 4, 12, 32, 64])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_pair_rotations_match_reference_bitwise(n2, batch):
+    rng = np.random.default_rng(100 * n2 + batch)
+    indices = _rotation_indices(batch, n2)
+    for g in _pair_grams(rng, batch, n2):
+        want = reference_pair_rotations(g.copy(), _circle_shift(n2))
+        got = _pair_rotations(g.copy(), indices)
+        assert got.shape == (batch, n2, n2)
+        # bytes, so signed zeros count too
+        assert got.tobytes() == want.tobytes()
 
 
 def test_svd_exhausted_sweep_budget_raises_with_residual(monkeypatch):
