@@ -22,15 +22,26 @@ The backward pass is hand-derived for this fixed architecture and checked
 against central finite differences in the test suite.  Each training loop
 builds one set of activation buffers and writes every step into it, so steps
 allocate only small per-step arrays; the loop's evaluations run through the
-same set in chunks of its batch.
+same set in passes of its batch.
+
+Every pass splits its sequences into chunks of ``CHUNK`` at fixed
+boundaries and runs the forward and backward of each chunk on a worker
+thread, in that chunk's own rows of the buffers: one worker per usable CPU
+when BLAS runs single-threaded, at most one per chunk.  The calling thread
+does what needs the whole batch: the head, the loss, and the sums of the
+per-chunk weight gradients in chunk order.  The split depends only on the
+number of sequences, so every result is the same bytes whatever the CPU or
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -42,6 +53,27 @@ TASK_RULES = ("majority", "majority_flip")
 PROJECTIONS = {"Q": "wq", "V": "wv"}
 BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
 PARAMS = BACKBONE + ("head_w", "head_b")
+# sequences per chunk; a batch splits at multiples of it, whatever the CPU count
+CHUNK = 128
+
+
+def _usable_workers() -> int:
+    """One chunk worker per usable CPU when BLAS runs each call on one thread.
+
+    Threads that call into a BLAS running threads of its own wait on each
+    other (on a 2-CPU host a default toy step took 59 ms instead of 20 with
+    two of each), so the chunks then run one at a time and BLAS keeps the
+    CPUs.  The BLAS thread count is the first of these variables that is set,
+    as OpenBLAS and MKL read them; unset, they use every CPU.
+    """
+    blas = next(filter(None, map(os.environ.get, (
+        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"))), None)
+    if blas != "1":
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_WORKERS = _usable_workers()
 
 
 @dataclass(frozen=True)
@@ -188,18 +220,61 @@ def _check_batch(model: ToyModel, tokens, labels) -> tuple[np.ndarray, np.ndarra
     return tok, _check_ids(arr, "labels", model.cfg.n_classes)
 
 
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """``scores.max(axis=-1)``, the same bytes; a running maximum over the
+    columns is several times faster on rows as short as the toy's."""
+    row_max = scores[..., 0].copy()
+    for col in range(1, scores.shape[-1]):
+        np.maximum(row_max, scores[..., col], out=row_max)
+    return row_max
+
+
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row softmax computed in place: ``scores`` is overwritten and returned."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)[..., None]
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
 
 
+def _chunked(n: int, work: Callable[[int, int], object]) -> list:
+    """``[work(start, stop) for each chunk of n sequences]``, run on worker threads.
+
+    The chunks are ``CHUNK`` sequences each, the last one partial.  The
+    calling thread works too, so ``min(chunks, _WORKERS) - 1`` threads start,
+    and all of them are joined before this returns.  Each worker runs under
+    the caller's numpy error state, and the exception of the first chunk that
+    failed is raised here.
+    """
+    bounds = [(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+    results, errors = [None] * len(bounds), [None] * len(bounds)
+    workers, errstate = min(len(bounds), _WORKERS), np.geterr()
+
+    def run(first: int):
+        with np.errstate(**errstate):
+            for i in range(first, len(bounds), workers):
+                try:
+                    results[i] = work(*bounds[i])
+                except BaseException as err:
+                    errors[i] = err
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 class _Buffers:
     """Activations for up to ``batch`` sequences, overwritten in place by every pass.
 
-    A pass over fewer sequences works in the leading slice of each buffer.
+    Each array is batch-major after its layer axis, and :meth:`rows` views
+    the slice of a run of sequences, so each chunk works in its own rows.
     Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
     ``q``, ``k``, ``v`` and ``attn`` hold layer ``l`` in slot ``l % depth``.
     ``ctx`` holds one layer: the backward pass recomputes it from ``attn``
@@ -208,54 +283,70 @@ class _Buffers:
     two rows.
     """
 
+    LAYERED = ("x", "q", "k", "v", "attn")
+
     def __init__(self, cfg: ToyConfig, batch: int, backward: bool):
         self.batch = batch
         depth = cfg.n_layers if backward else 1
-        flat = (batch * cfg.seq_len, cfg.d_model)
         acts, scores = (batch, cfg.seq_len, cfg.d_model), (batch, cfg.seq_len, cfg.seq_len)
-        self.x = np.empty((depth + 1, *flat))
+        self.x = np.empty((depth + 1, *acts))
         self.q, self.k, self.v = (np.empty((depth, *acts)) for _ in range(3))
         self.attn = np.empty((depth, *scores))
         self.ctx = np.empty(acts)
         if backward:
-            self.dx, self.tmp = np.empty(flat), np.empty(flat)
+            self.dx, self.tmp = np.empty(acts), np.empty(acts)
             self.d_ctx, self.d_v, self.d_q, self.d_k = (np.empty(acts) for _ in range(4))
             self.d_attn, self.tmp_attn = np.empty(scores), np.empty(scores)
 
+    def rows(self, start: int, stop: int) -> "_Buffers":
+        """These buffers restricted to sequences ``start:stop``; no copy."""
+        view = copy.copy(self)
+        view.batch = stop - start
+        for name, arr in vars(self).items():
+            if isinstance(arr, np.ndarray):
+                setattr(view, name, arr[:, start:stop] if name in self.LAYERED else arr[start:stop])
+        return view
 
-def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers):
-    """Logits, pooled features and effective Q/V stacks of validated ``tok``;
-    every activation is written into the leading ``len(tok)`` sequences of
-    ``buf``."""
+
+def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers,
+             qv: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pooled features ``(len(tok), d)`` of validated ``tok``, at most ``buf.batch``
+    sequences, under the effective Q/V stacks ``qv``.  Each chunk runs on a
+    worker and writes its activations into its own rows of ``buf``."""
+    return np.concatenate(_chunked(len(tok), lambda start, stop: _forward_rows(
+        model, tok[start:stop], buf.rows(start, stop), qv)))
+
+
+def _forward_rows(model: ToyModel, tok: np.ndarray, buf: _Buffers,
+                  qv: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pooled features of one chunk ``tok``, which fills ``buf``."""
     n_layers, d = model.cfg.n_layers, model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    wq_eff, wv_eff = model.effective_qv()
-    batch, depth, n_x = len(tok), len(buf.q), len(buf.x)
-    xs, ctx = buf.x[:, :tok.size], buf.ctx[:batch]
+    wq_eff, wv_eff = qv
+    depth, n_x = len(buf.q), len(buf.x)
     # activations are (batch * seq_len, d) so each projection is one GEMM;
     # the ids are checked, and mode="raise" would copy through a temporary
-    np.take(model.embeddings, tok.ravel(), axis=0, out=xs[0], mode="clip")
+    np.take(model.embeddings, tok.ravel(), axis=0, out=buf.x[0].reshape(-1, d), mode="clip")
     for layer in range(n_layers):
-        x, x_out = xs[layer % n_x], xs[(layer + 1) % n_x]
-        q, k, v, attn = (a[layer % depth, :batch] for a in (buf.q, buf.k, buf.v, buf.attn))
+        x, x_out = (buf.x[i % n_x].reshape(-1, d) for i in (layer, layer + 1))
+        q, k, v, attn = (a[layer % depth] for a in (buf.q, buf.k, buf.v, buf.attn))
         np.matmul(x, wq_eff[layer].T, out=q.reshape(-1, d))
         np.matmul(x, model.wk[layer].T, out=k.reshape(-1, d))
         np.matmul(x, wv_eff[layer].T, out=v.reshape(-1, d))
         np.matmul(q, k.swapaxes(1, 2), out=attn)
         attn *= inv_sqrt_d
         _softmax_rows(attn)
-        np.matmul(attn, v, out=ctx)
-        np.matmul(ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
+        np.matmul(attn, v, out=buf.ctx)
+        np.matmul(buf.ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
         x_out += x
-    pooled = xs[n_layers % n_x].reshape(batch, -1, d).mean(axis=1)
-    logits = pooled @ model.head_w + model.head_b
-    return logits, pooled, wq_eff, wv_eff
+    return buf.x[n_layers % n_x].mean(axis=1)
 
 
 def forward(model: ToyModel, tokens) -> np.ndarray:
     """Logits ``(batch, n_classes)``."""
     tok = _check_tokens(model, tokens)
-    return _forward(model, tok, _Buffers(model.cfg, len(tok), backward=False))[0]
+    buf = _Buffers(model.cfg, len(tok), backward=False)
+    return _forward(model, tok, buf, model.effective_qv()) @ model.head_w + model.head_b
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -290,19 +381,42 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
 def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
                     buf: _Buffers) -> tuple[float, dict]:
     """:func:`loss_and_grads` of validated inputs, working in ``buf``."""
-    logits, pooled, wq_eff, wv_eff = _forward(model, tok, buf)
-    loss, dlogits = cross_entropy(logits, labels)
-    stacks = BACKBONE if model.adapters is None else [PROJECTIONS[n] for n in model.adapters]
-    g = {name: np.empty_like(getattr(model, name)) for name in stacks}
+    qv = model.effective_qv()
+    pooled = _forward(model, tok, buf, qv)
+    loss, dlogits = cross_entropy(pooled @ model.head_w + model.head_b, labels)
+    groups = BACKBONE if model.adapters is None else tuple(PROJECTIONS[n] for n in model.adapters)
+    d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
+    partials = _chunked(len(tok), lambda start, stop: _backward(
+        model, buf.rows(start, stop), d_pooled[start:stop], qv, groups))
+    g = partials[0]
+    for partial in partials[1:]:
+        for name in g:
+            g[name] += partial[name]
     g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
-    batch, seq_len, d = len(tok), model.cfg.seq_len, model.cfg.d_model
+    if "embeddings" in groups:
+        g["embeddings"] = np.zeros_like(model.embeddings)
+        np.add.at(g["embeddings"], tok.ravel(), buf.dx[:len(tok)].reshape(-1, model.cfg.d_model))
+    return loss, g
+
+
+def _backward(model: ToyModel, buf: _Buffers, d_pooled: np.ndarray,
+              qv: tuple[np.ndarray, np.ndarray], groups: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """One chunk's share of the gradient of each weight stack in ``groups``.
+
+    ``buf`` holds the chunk's forward pass and ``d_pooled`` the loss gradient
+    of its pooled rows divided by ``seq_len``.  With ``embeddings`` in
+    ``groups``, ``buf.dx`` is left holding the gradient of each embedded token.
+    """
+    d = model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    dx, tmp = buf.dx, buf.tmp
-    dx.reshape(batch, seq_len, d)[:] = (dlogits @ model.head_w.T / seq_len)[:, None, :]
+    wq_eff, wv_eff = qv
+    g = {name: np.empty_like(getattr(model, name)) for name in groups if name != "embeddings"}
+    buf.dx[:] = d_pooled[:, None, :]
+    dx, tmp = buf.dx.reshape(-1, d), buf.tmp.reshape(-1, d)
     d_ctx, d_q, d_k, d_v = (a.reshape(-1, d) for a in (buf.d_ctx, buf.d_q, buf.d_k, buf.d_v))
 
     for layer in range(model.cfg.n_layers - 1, -1, -1):
-        x, q, k, v = buf.x[layer], buf.q[layer], buf.k[layer], buf.v[layer]
+        x, q, k, v = buf.x[layer].reshape(-1, d), buf.q[layer], buf.k[layer], buf.v[layer]
         attn = buf.attn[layer]
         if "wo" in g:
             # ctx holds the last layer the forward wrote; recompute this one's
@@ -320,7 +434,7 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
             np.matmul(d_q.T, x, out=g["wq"][layer])
         if "wv" in g:
             np.matmul(d_v.T, x, out=g["wv"][layer])
-        if layer == 0 and "embeddings" not in g:
+        if layer == 0 and "embeddings" not in groups:
             break  # below layer 0, dx would only reach the frozen embeddings
         np.matmul(d_scores.swapaxes(1, 2), q, out=buf.d_k)
         if "wk" in g:
@@ -328,11 +442,7 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
         dx += np.matmul(d_q, wq_eff[layer], out=tmp)
         dx += np.matmul(d_k, model.wk[layer], out=tmp)
         dx += np.matmul(d_v, wv_eff[layer], out=tmp)
-
-    if "embeddings" in g:
-        g["embeddings"].fill(0.0)  # np.add.at accumulates
-        np.add.at(g["embeddings"], tok.ravel(), dx)
-    return loss, g
+    return g
 
 
 def evaluate(model: ToyModel, tokens, labels) -> float:
@@ -341,14 +451,13 @@ def evaluate(model: ToyModel, tokens, labels) -> float:
 
 
 def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffers) -> float:
-    """Accuracy on validated inputs, run through ``buf`` in chunks of its batch.
+    """Accuracy on validated inputs, run through ``buf`` in passes of its batch.
 
-    The head is applied once, to every pooled row, so the logits do not
-    depend on where the chunks split.
+    The head is applied once, to every pooled row.
     """
-    pooled = np.empty((len(tok), model.cfg.d_model))
-    for start in range(0, len(tok), buf.batch):
-        pooled[start:start + buf.batch] = _forward(model, tok[start:start + buf.batch], buf)[1]
+    qv = model.effective_qv()
+    pooled = np.concatenate([_forward(model, tok[start:start + buf.batch], buf, qv)
+                             for start in range(0, len(tok), buf.batch)])
     preds = np.argmax(pooled @ model.head_w + model.head_b, axis=1)
     return float(np.mean(preds == labels))
 
@@ -492,7 +601,8 @@ def head_only_finetune(
     steps = check_int(steps, "steps", low=0)
     tuned = model.clone()
     tokens, labels = _check_batch(tuned, tokens, labels)
-    pooled = _forward(tuned, tokens, _Buffers(tuned.cfg, len(tokens), backward=False))[1]
+    buf = _Buffers(tuned.cfg, len(tokens), backward=False)
+    pooled = _forward(tuned, tokens, buf, tuned.effective_qv())
     losses = []
     for step in range(steps):
         loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)

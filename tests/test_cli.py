@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import craft
+from craft import toy
 from craft.cli import main
 from craft.serialization import (
     read_tensor3,
@@ -286,31 +287,41 @@ def test_divergence_exits_6(tmp_path):
 
 OVERFLOW_TOY = ("n_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\ntrain_size=64\n"
                 "eval_size=64\npretrain_steps=100\nr1=1\nr2=2\nr3=2\nsteps=30\n")
+# 300 training sequences run each step in three chunks, on worker threads
+CHUNKED_OVERFLOW_TOY = OVERFLOW_TOY.replace("size=64", "size=300")
 
 
-OVERFLOWS = pytest.mark.parametrize("lines", [
-    "seed=0\neta=1e3\nhead_eta=1e6\n",  # the upstream gradient overflows in the backward
-    "seed=2\neta=1e4\n",                 # the adapter products in grad_j overflow
-], ids=["upstream", "grad_j"])
+OVERFLOWS = pytest.mark.parametrize("lines,toy_lines", [
+    # the upstream gradient overflows in the backward
+    ("seed=0\neta=1e3\nhead_eta=1e6\n", OVERFLOW_TOY),
+    ("seed=2\neta=1e4\n", OVERFLOW_TOY),  # the adapter products in grad_j overflow
+    ("seed=0\neta=1e3\nhead_eta=1e6\n", CHUNKED_OVERFLOW_TOY),
+    ("seed=2\neta=1e4\n", CHUNKED_OVERFLOW_TOY),
+], ids=["upstream", "grad_j", "upstream-chunks", "grad_j-chunks"])
 DIVERGED = r"error: fine-tuning diverged: .+ \(step \d+\)\n"
 
 
 @OVERFLOWS
-def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, lines):
+def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, monkeypatch, lines,
+                                                toy_lines):
+    # two workers whatever the host; a warning escaping one would fail the call
+    monkeypatch.setattr(toy, "_WORKERS", 2)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(lines + OVERFLOW_TOY)
+    cfg.write_text(lines + toy_lines)
     code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 6
     assert re.fullmatch(DIVERGED, capsys.readouterr().err)
 
 
 @OVERFLOWS
-def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines):
+def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines, toy_lines):
     """Run as a user runs it, with Python's default warning filters: numpy's
-    RuntimeWarnings must not reach stderr ahead of the one error line."""
+    RuntimeWarnings must not reach stderr ahead of the one error line.  BLAS
+    runs one thread per call, so each chunk runs on a worker of its own."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(lines + OVERFLOW_TOY)
-    proc = _craft(tmp_path, "train-toy", "--config", str(cfg), "--out-dir", "o")
+    cfg.write_text(lines + toy_lines)
+    proc = _craft(tmp_path, "train-toy", "--config", str(cfg), "--out-dir", "o",
+                  OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 6
     assert re.fullmatch(DIVERGED, proc.stderr)
 

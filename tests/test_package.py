@@ -83,7 +83,9 @@ def test_only_toy_projections_names_the_adapted_projections():
 def test_craft_finetune_owns_the_toys_only_exception_handler():
     # every fine-tuning step runs inside one handler that reports an overflow
     # or non-finite value as a DivergenceError with its step; the toy's
-    # inputs are checked up front, so no other code there catches anything
+    # inputs are checked up front, so no other code there handles an error.
+    # A chunk worker's handler only carries what its chunk raised back to the
+    # calling thread, which raises it again (test_toy checks that it does)
     tree = ast.parse((Path(craft.__file__).parent / "toy.py").read_text(encoding="utf-8"))
     owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn)}
@@ -92,4 +94,5 @@ def test_craft_finetune_owns_the_toys_only_exception_handler():
         if isinstance(node, ast.ExceptHandler):
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             handlers.append((owner.get(node), sorted(map(ast.unparse, filter(None, caught)))))
-    assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"])]
+    assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"]),
+                        ("run", ["BaseException"])]

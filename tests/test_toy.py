@@ -1,9 +1,15 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from craft import toy
+from craft.cli import main
 from craft.errors import DivergenceError, ValidationError
 from craft.toy import (
+    CHUNK,
     SyntheticTask,
     ToyConfig,
     ToyModel,
@@ -66,7 +72,7 @@ def attention_of_every_layer(model, tokens):
     """The ``(n_layers, batch, seq_len, seq_len)`` attention weights that the
     training pass's buffers hold after a forward pass."""
     buf = _Buffers(model.cfg, len(tokens), backward=True)
-    _forward(model, tokens, buf)
+    _forward(model, tokens, buf, model.effective_qv())
     assert len(buf.attn) == model.cfg.n_layers
     return buf.attn
 
@@ -161,17 +167,23 @@ def test_pretrain_reaches_target_and_is_deterministic():
 
 
 def test_pretrain_builds_one_buffer_set(monkeypatch):
-    """Training steps and evaluations share one activation set."""
+    """Training steps and evaluations share one activation set, also when
+    each step runs in chunks on several workers."""
     built = []
     monkeypatch.setattr(toy, "_Buffers", lambda *args, **kw: built.append(args) or
                         _Buffers(*args, **kw))
     pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=16, eval_size=40), eta=0.5,
              max_steps=10, target_acc=2.0)
     assert len(built) == 1
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    built.clear()
+    pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=2 * CHUNK + 44, eval_size=3 * CHUNK),
+             eta=0.5, max_steps=10, target_acc=2.0)
+    assert len(built) == 1
 
 
 # at eta=0.5 this run's eval accuracy is 0.85 from step 5 on; each evaluation
-# of its 40 sequences runs through the 16-sequence training set in 3 chunks
+# of its 40 sequences runs through the 16-sequence training set in 3 passes
 @pytest.mark.parametrize("max_steps,target_acc,steps,evals", [
     (20, 0.8, 5, 1),   # the target is reached at the first evaluation
     (10, 2.0, 10, 2),  # the budget ends on an evaluation
@@ -185,7 +197,7 @@ def test_pretrain_evaluates_each_model_once(monkeypatch, max_steps, target_acc, 
     m = pretrain(SMALL_CFG, task, eta=0.5, max_steps=max_steps, target_acc=target_acc,
                  eval_every=5)
     assert len(m.pretrain_losses) == steps
-    assert calls.count(8) == evals  # the last chunk of each evaluation
+    assert calls.count(8) == evals  # the last pass of each evaluation
     assert len(calls) == steps + 3 * evals
     assert m.pretrain_eval_acc == evaluate(m, *make_dataset(task, SMALL_CFG, "eval"))
 
@@ -457,3 +469,137 @@ def test_single_token_vocabulary_is_rejected():
         ToyConfig(vocab_size=1)
     _, labels = make_dataset(SyntheticTask(train_size=4), ToyConfig(vocab_size=5), "train")
     assert labels.tolist() == [0, 1, 0, 1]  # odd sizes >= 3 stay valid
+
+
+def test_row_max_is_bitwise_max():
+    """The softmax's running row maximum must give the bytes of
+    ``max(axis=-1)``: ties, signed zeros, infinities and NaN included."""
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324]
+    for n in (1, 2, 3):
+        scores = np.array(list(itertools.product(values, repeat=n)))
+        assert toy._row_max(scores).tobytes() == scores.max(axis=-1).tobytes(), n
+    scores = np.random.default_rng(0).choice(values + [1.0, 2.0], size=(64, 3, 12, 12))
+    assert toy._row_max(scores).tobytes() == scores.max(axis=-1).tobytes()
+
+
+def test_chunks_run_on_separate_workers_in_order(monkeypatch):
+    """Each chunk of ``CHUNK`` sequences (the last partial) runs once, the
+    calling thread among the workers; results come back in chunk order and
+    every worker thread is joined."""
+    monkeypatch.setattr(toy, "_WORKERS", 3)
+    threads = threading.active_count()
+    ran = []
+
+    def work(start, stop):
+        ran.append(threading.current_thread())  # an ident can be reused, a Thread is not
+        return start, stop
+
+    assert toy._chunked(4 * CHUNK + 1, work) == [
+        (0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK), (3 * CHUNK, 4 * CHUNK),
+        (4 * CHUNK, 4 * CHUNK + 1)]
+    assert len(ran) == 5
+    assert len(set(ran)) == 3 and threading.current_thread() in ran
+    assert threading.active_count() == threads
+    ran.clear()
+    assert toy._chunked(CHUNK, work) == [(0, CHUNK)]
+    assert ran == [threading.current_thread()]  # one chunk starts no thread
+
+
+def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
+    """numpy's error state is per thread, so a worker would otherwise warn
+    where its caller ignores or raises."""
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    with np.errstate(over="raise", invalid="ignore"):
+        states = toy._chunked(3 * CHUNK, lambda start, stop: np.geterr())
+        assert states == [np.geterr()] * 3
+        with pytest.raises(FloatingPointError):
+            toy._chunked(2 * CHUNK, lambda start, stop: np.float64(1e308) * (10.0 + start))
+
+
+def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
+    """Chunks 1 to 3 fail, chunk 2 on the calling thread itself; the caller
+    raises chunk 1's exception, after every worker has been joined."""
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    threads = threading.active_count()
+
+    def work(start, stop):
+        if start:
+            raise ValueError(f"chunk {start // CHUNK}")
+
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        toy._chunked(4 * CHUNK, work)
+    assert threading.active_count() == threads
+
+
+def test_chunk_workers_under_stress_match_one_worker(monkeypatch):
+    """More workers than cores, switching threads every microsecond, through
+    one buffer set: a chunk that touched another's rows would change bytes."""
+    cfg = ToyConfig(n_layers=2, d_model=8, vocab_size=8, seq_len=6, seed=4)
+    model = ToyModel(cfg, np.random.default_rng(4))
+    model.head_w = 0.3 * np.random.default_rng(5).standard_normal(model.head_w.shape)
+    rng = np.random.default_rng(6)
+    tokens = rng.integers(0, cfg.vocab_size, (5 * CHUNK + 3, cfg.seq_len))
+    labels = rng.integers(0, cfg.n_classes, len(tokens))
+    monkeypatch.setattr(toy, "_WORKERS", 1)
+    loss, g = loss_and_grads(model, tokens, labels)
+    monkeypatch.setattr(toy, "_WORKERS", 8)
+    buf = _Buffers(cfg, len(tokens), backward=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            step_loss, step_g = toy._loss_and_grads(model, tokens, labels, buf)
+            assert step_loss == loss
+            for name in g:
+                assert step_g[name].tobytes() == g[name].tobytes(), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+MULTI_CFG = ToyConfig(n_layers=2, d_model=8, vocab_size=8, seq_len=6, seed=3)
+# three chunks per training step, the last one partial, and two per evaluation
+MULTI_TASK = SyntheticTask(seed=3, train_size=2 * CHUNK + 44, eval_size=CHUNK + 72)
+
+
+def _train_multi_chunk():
+    threads = threading.active_count()
+    model = pretrain(MULTI_CFG, MULTI_TASK, eta=0.5, max_steps=40, target_acc=0.9)
+    assert threading.active_count() == threads
+    adapters = build_adapters(model, TuckerRanks(1, 2, 2))
+    tuned, losses = craft_finetune(model, adapters, *train_set(model, MULTI_TASK.flipped()),
+                                   eta=0.5, steps=6, head_eta=0.5)
+    assert threading.active_count() == threads
+    return model, tuned, losses
+
+
+@pytest.mark.parametrize("workers", [None, 3], ids=["default", "3"])
+def test_training_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, workers):
+    """Multi-chunk pretraining and fine-tuning give the same bytes on one
+    worker as on the default count (and on three, which starts threads on
+    any host), and no worker thread outlives a loop or a ``train-toy`` run."""
+    monkeypatch.setattr(toy, "_WORKERS", 1)
+    serial = _train_multi_chunk()
+    if workers is not None:
+        monkeypatch.setattr(toy, "_WORKERS", workers)
+    else:
+        monkeypatch.undo()
+    model, tuned, losses = _train_multi_chunk()
+    assert len(model.pretrain_losses) > 1
+    assert model.pretrain_losses == serial[0].pretrain_losses
+    assert model.pretrain_eval_acc == serial[0].pretrain_eval_acc
+    assert losses == serial[2]
+    for name in toy.PARAMS:
+        assert getattr(model, name).tobytes() == getattr(serial[0], name).tobytes(), name
+    for name in ("head_w", "head_b"):
+        assert getattr(tuned, name).tobytes() == getattr(serial[1], name).tobytes(), name
+    for name, a in tuned.adapters.items():
+        for j, serial_j in zip(a.j_matrices, serial[1].adapters[name].j_matrices):
+            assert j.tobytes() == serial_j.tobytes(), name
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\nn_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\n"
+                   f"train_size={MULTI_TASK.train_size}\neval_size={MULTI_TASK.eval_size}\n"
+                   "pretrain_eta=0.5\nr1=1\nr2=2\nr3=2\nsteps=6\n")
+    threads = threading.active_count()
+    assert main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert threading.active_count() == threads

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craft.toy import (
+    CHUNK,
     PROJECTIONS,
     SyntheticTask,
     ToyConfig,
@@ -95,6 +96,9 @@ CONFIGS = [
      TuckerRanks(2, 4, 5)),
     (ToyConfig(n_layers=1, d_model=2, vocab_size=4, seq_len=1, seed=3), 4, TuckerRanks(1, 1, 2)),
     (ToyConfig(), 64, TuckerRanks(4, 8, 8)),
+    # two chunks, the second one partial
+    (ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=6), CHUNK + 72,
+     TuckerRanks(2, 3, 3)),
 ]
 
 
@@ -163,15 +167,16 @@ def test_head_only_finetune_is_bitwise_equal_to_reference():
     assert tuned.head_b.tobytes() == ref.head_b.tobytes()
 
 
-@pytest.mark.parametrize("train_size,eval_size", [(64, 64), (64, 150), (96, 40)],
-                         ids=["one-chunk", "partial-chunk", "short-chunk"])
+@pytest.mark.parametrize("train_size,eval_size",
+                         [(64, 64), (64, 150), (96, 40), (CHUNK + 72, 2 * CHUNK + 44)],
+                         ids=["one-chunk", "partial-chunk", "short-chunk", "worker-chunks"])
 @pytest.mark.parametrize("projections", [("Q",), ("V",), ("Q", "V")], ids=["Q", "V", "QV"])
 def test_training_loops_reuse_buffers_without_carrying_state(projections, train_size,
                                                              eval_size):
     """pretrain and craft_finetune keep one activation buffer set for all
-    their steps, and pretrain evaluates through it in chunks of the training
+    their steps, and pretrain evaluates through it in passes of the training
     batch; every step and evaluation must still equal a call on fresh
-    buffers.  The reference routes each adapter's upstream gradient on its
+    buffers, also where a step runs in two chunks of workers.  The reference routes each adapter's upstream gradient on its
     own, and a projection left out must keep the model's own stack bit for
     bit."""
     cfg = ToyConfig(seed=5)
@@ -212,7 +217,9 @@ def test_forward_without_cache_equals_cached_logits(n_layers, craft_adapt):
     cfg = ToyConfig(n_layers=n_layers, d_model=8, vocab_size=6, seq_len=5, seed=n_layers)
     model = random_model(cfg, seed=n_layers, ranks=TuckerRanks(1, 4, 4) if craft_adapt else None)
     tokens, _ = make_dataset(SyntheticTask(seed=n_layers, train_size=12), cfg, "train")
-    logits = _forward(model, tokens, _Buffers(cfg, len(tokens), backward=True))[0]
+    pooled = _forward(model, tokens, _Buffers(cfg, len(tokens), backward=True),
+                      model.effective_qv())
+    logits = pooled @ model.head_w + model.head_b
     assert forward(model, tokens).tobytes() == logits.tobytes()
 
 
