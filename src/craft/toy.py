@@ -27,11 +27,11 @@ same set in passes of its batch.
 Every pass splits its sequences into chunks of ``CHUNK`` at fixed
 boundaries and runs the forward and backward of each chunk on a worker
 thread, in that chunk's own rows of the buffers: one worker per usable CPU
-when BLAS runs single-threaded, at most one per chunk.  The calling thread
-does what needs the whole batch: the head, the loss, and the sums of the
-per-chunk weight gradients in chunk order.  The split depends only on the
-number of sequences, so every result is the same bytes whatever the CPU or
-BLAS thread count.
+when OpenBLAS runs one thread per call (``_blas_threads``), otherwise one,
+and at most one per chunk.  The calling thread does what needs the whole
+batch: the head, the loss, and the sums of the per-chunk weight gradients
+in chunk order.  The split depends only on the number of sequences, so
+every result is the same bytes whatever the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import os
+import re
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -57,18 +58,29 @@ PARAMS = BACKBONE + ("head_w", "head_b")
 CHUNK = 128
 
 
+def _blas_threads() -> int | None:
+    """The BLAS thread count OpenBLAS takes from the environment, ``None`` if unset.
+
+    OpenBLAS reads the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+    and ``OMP_NUM_THREADS`` that ``atoi`` reads as positive, and otherwise
+    starts one thread per CPU.  Other BLAS builds are not covered.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+        if digits and int(digits[1]) > 0:
+            return int(digits[1])
+    return None
+
+
 def _usable_workers() -> int:
     """One chunk worker per usable CPU when BLAS runs each call on one thread.
 
     Threads that call into a BLAS running threads of its own wait on each
     other (on a 2-CPU host a default toy step took 59 ms instead of 20 with
     two of each), so the chunks then run one at a time and BLAS keeps the
-    CPUs.  The BLAS thread count is the first of these variables that is set,
-    as OpenBLAS and MKL read them; unset, they use every CPU.
+    CPUs.
     """
-    blas = next(filter(None, map(os.environ.get, (
-        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"))), None)
-    if blas != "1":
+    if _blas_threads() != 1:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -243,8 +255,10 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
     The chunks are ``CHUNK`` sequences each, the last one partial.  The
     calling thread works too, so ``min(chunks, _WORKERS) - 1`` threads start,
     and all of them are joined before this returns.  Each worker runs under
-    the caller's numpy error state, and the exception of the first chunk that
-    failed is raised here.
+    the caller's numpy error state and stops at its first failing chunk.  An
+    interrupt (a ``BaseException`` that is no ``Exception``, such as
+    ``KeyboardInterrupt``) is raised here first, and otherwise the exception
+    of the first chunk that failed.
     """
     bounds = [(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
     results, errors = [None] * len(bounds), [None] * len(bounds)
@@ -257,6 +271,7 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
                     results[i] = work(*bounds[i])
                 except BaseException as err:
                     errors[i] = err
+                    break  # the chunks this thread skips all come after this one
 
     threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
     for t in threads:
@@ -264,9 +279,9 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
     run(0)
     for t in threads:
         t.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    failed = [err for err in errors if err is not None]
+    if failed:
+        raise next((err for err in failed if not isinstance(err, Exception)), failed[0])
     return results
 
 

@@ -374,12 +374,15 @@ def _run_with_blas_threads(threads, cwd, *args):
                          for p in sorted(cwd.rglob("*")) if p.is_file()}
 
 
-# eval_size=96 evaluates pretraining in a 64-sequence chunk and a 32-sequence one
+# eval_size=96 evaluates pretraining in a 64-sequence chunk and a 32-sequence one;
+# 300 sequences are three toy chunks, run on one worker per CPU where OpenBLAS
+# runs one thread per call and one at a time where it runs two
 @pytest.mark.parametrize("command,config", [
     ("decompose", None),
     ("train-toy", TINY_TOY),
     ("train-toy", TINY_TOY.replace("eval_size=64", "eval_size=96")),
-], ids=["decompose", "train-toy", "train-toy-eval-chunks"])
+    ("train-toy", TINY_TOY.replace("size=64", "size=300")),
+], ids=["decompose", "train-toy", "train-toy-eval-chunks", "train-toy-worker-chunks"])
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path, command, config):
     if command == "decompose":
         source = tmp_path / "w.crft"

@@ -531,6 +531,55 @@ def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, workers):
+    """A KeyboardInterrupt in the calling thread's chunk 2 ends that thread's
+    loop and is raised ahead of chunk 1's earlier error; with one worker,
+    chunk 1's error already ended the loop and is raised."""
+    monkeypatch.setattr(toy, "_WORKERS", workers)
+    threads = threading.active_count()
+    ran = []
+
+    def work(start, stop):
+        chunk = start // CHUNK
+        ran.append(chunk)
+        if chunk == 1:
+            raise ValueError("chunk 1")
+        if chunk == 2:
+            raise KeyboardInterrupt
+
+    with pytest.raises(BaseException) as raised:  # a stray interrupt must not end the session
+        toy._chunked(6 * CHUNK, work)
+    assert raised.type is (KeyboardInterrupt if workers == 2 else ValueError)
+    assert sorted(ran) == ([0, 1, 2] if workers == 2 else [0, 1])
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("env,threads", [
+    ({}, None),
+    ({"MKL_NUM_THREADS": "1"}, None),  # OpenBLAS ignores MKL's variable
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),  # atoi reads 0 as unset
+    ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": " 1x", "OMP_NUM_THREADS": "2"}, 1),  # atoi reads " 1x" as 1
+])
+def test_blas_threads_follow_openblas_precedence(monkeypatch, env, threads):
+    """Chunk workers start only where OpenBLAS runs one thread per call, as
+    OpenBLAS reads its thread count from the environment."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert toy._blas_threads() == threads
+    if threads != 1:
+        assert toy._usable_workers() == 1
+
+
 def test_chunk_workers_under_stress_match_one_worker(monkeypatch):
     """More workers than cores, switching threads every microsecond, through
     one buffer set: a chunk that touched another's rows would change bytes."""
