@@ -17,44 +17,27 @@ which held a dense ``I1 x I2 x I3`` initial reconstruction after w_original;
 the reader skips that block, since the adapter derives it from the factors.
 
 The checksum is CRC-64/XZ (polynomial 0x42F0E1EBA9EA3693, reflected,
-init and xor-out all-ones); its definition, the check vector and every file
-byte are the same as when it was computed one byte at a time.  ``crc64``
-runs up to 4096 word-interleaved lanes (lane i takes 8-byte words i, i + L,
-i + 2L, ...): per row of L words, all registers advance at once through
-eight 256-entry tables of "advance over 2**k zero bytes", built by squaring
-the one-byte step, and the row is xored in; the lanes then merge pairwise.
-The CRC is affine in its initial register, so per-piece registers combine
-by linearity, as in zlib's ``crc32_combine``, and the all-ones init enters
-the same way.  A write checksums the header and each block where they lie
-and streams them to the file: no full-file buffer is built.  Writes go to a
-temporary file in the target directory, created with mode 0666 less the
-umask, which is flushed to disk with ``fsync`` and then renamed into place,
-so a crash or power loss leaves either the old file or the new one.
-
-A block's register from zero does not depend on where it sits in the file,
-so ``crc64`` keeps it for an array whose memory no reference can write
-(``tensor.is_immutable``), found by the array's identity and dropped when
-the array is freed.  An adapter's frozen blocks are shared across update
-steps, so they are checksummed once, and a later write checksums only the
-header and the ``J`` blocks.  File bytes and the CRC definition do not
-change, and reads checksum every byte.  Frozen memory must never change: a
-write through a writable view taken before the array was frozen breaks
-that contract, and a file written from the array after its first checksum
-then fails its checksum on read.
+init and xor-out all-ones), computed by liblzma's ``lzma_crc64``, which
+CPython's ``lzma`` extension links; importing this module fails with
+``ImportError`` where that extension or the symbol is missing.  A write
+checksums the header and each block where they lie and streams them to the
+file: no full-file buffer is built.  Writes go to a temporary file in the
+target directory, created with mode 0666 less the umask, which is flushed to
+disk with ``fsync`` and then renamed into place, so a crash or power loss
+leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import math
 import os
 import struct
-import weakref
 
 import numpy as np
 
 from .errors import FormatError
-from .tensor import check_array, is_immutable
+from .tensor import check_array
 from .tucker import TuckerFactors, TuckerRanks
 from .adapter import CraftAdapter
 
@@ -74,108 +57,25 @@ _KINDS = {
     KIND_CRAFT_ADAPTER: ("CraftAdapter", 6),
 }
 
-_CRC64_POLY_REFLECTED = 0xC96C5795D7870F42
-_ALL_ONES = 0xFFFFFFFFFFFFFFFF
-# inputs past 32 KB get more rows, not more lanes, so the register arrays and
-# the one copied row stay within 32 KB whatever the input size
-_MAX_LANES = 4096
-# where each byte position's 256 entries start in a flattened 8 x 256 table set
-_TABLE_OFFSETS = np.arange(0, 8 * 256, 256)
 
-
-def _apply(tables: np.ndarray, regs: np.ndarray) -> np.ndarray:
-    """A GF(2)-linear map of registers, given by the images of each byte (8 x 256)."""
-    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    if len(octets) < 256:
-        # few registers: one gather costs less than eight calls
-        return np.bitwise_xor.reduce(tables.reshape(-1)[octets + _TABLE_OFFSETS], axis=1)
-    # one contiguous index per byte position: gathers through strided uint8
-    # indices convert them element by element
-    index = np.ascontiguousarray(octets.T, dtype=np.intp)
-    out = tables[0][index[0]]
-    for i in range(1, 8):
-        out ^= tables[i][index[i]]
-    return out
-
-
-# Tables are built on first use, so importing the module computes nothing.
-@functools.cache
-def _zero_advance(level: int) -> np.ndarray:
-    """Tables of the map that advances a register over ``2**level`` zero bytes."""
-    if level == 0:
-        # the byte shifted out selects a table entry; the other bytes move down
-        crc = byte = np.arange(256, dtype="<u8")
-        for _ in range(8):
-            crc = np.where(crc & 1, (crc >> 1) ^ _CRC64_POLY_REFLECTED, crc >> 1)
-        tables = np.stack([crc] + [byte << (8 * i - 8) for i in range(1, 8)])
-    else:
-        half = _zero_advance(level - 1)
-        tables = _apply(half, half.ravel()).reshape(8, 256)
-    tables.setflags(write=False)  # cached: every caller shares this array
-    return tables
-
-
-def _advance(reg: int, nbytes: int) -> int:
-    """Register ``reg`` advanced over ``nbytes`` zero bytes, one table per set bit."""
-    regs = np.array([reg], dtype="<u8")
-    for level in range(nbytes.bit_length()):
-        if nbytes >> level & 1:
-            regs = _apply(_zero_advance(level), regs)
-    return int(regs[0])
-
-
-def _register(arr: np.ndarray) -> int:
-    """Register of the reflected CRC over the bytes ``arr`` from a zero register."""
-    n = len(arr)
-    # L lanes: the largest power of two at most n // 8 words, and at most 4096
-    lanes = max(1, min(_MAX_LANES, 1 << (n // 8).bit_length() >> 1))
-    log_lanes = lanes.bit_length() - 1
-    # Lane i takes words i, i + L, i + 2L, ... of the input left-padded with
-    # zeros to whole rows of L words (leading zeros keep a zero register
-    # zero); only the first row, holding the padding, is a copy.
-    row = 8 * lanes
-    cut = n - (max(1, -(-n // row)) - 1) * row
-    head = np.zeros(row, dtype=np.uint8)
-    head[row - cut:] = arr[:cut]
-    regs = head.view("<u8")
-    # each later row: advance the registers over one row of zero bytes, xor it in
-    step = _zero_advance(3 + log_lanes)
-    for words in arr[cut:].view("<u8").reshape(-1, lanes):
-        regs = _apply(step, regs) ^ words
-    # merge neighbouring lanes pairwise, then advance past the last word
-    for level in range(3, 3 + log_lanes):
-        regs = _apply(_zero_advance(level), regs[0::2]) ^ regs[1::2]
-    return _advance(int(regs[0]), 8)
-
-
-# id(array) -> (weak reference to it, its register from zero), for arrays whose
-# memory no reference can write; an entry leaves when its array is freed.
-# Threads that race on one array at worst compute its register twice.
-_REGISTERS: dict[int, tuple[weakref.ref, int]] = {}
-
-
-def _piece_register(buf, octets: np.ndarray) -> int:
-    """Register of ``buf`` (bytes ``octets``) from zero, computed once per immutable array."""
-    if not (isinstance(buf, np.ndarray) and is_immutable(buf)):
-        return _register(octets)
-    key = id(buf)
-    entry = _REGISTERS.get(key)
-    if entry is not None and entry[0]() is buf:
-        return entry[1]
-    reg = _register(octets)
-    _REGISTERS[key] = (weakref.ref(buf, lambda _, key=key: _REGISTERS.pop(key, None)), reg)
-    return reg
+try:
+    import _lzma
+    _lzma_crc64 = ctypes.CDLL(_lzma.__file__).lzma_crc64
+except (ImportError, OSError, AttributeError) as err:
+    raise ImportError("craft.serialization needs lzma_crc64 from the liblzma that CPython's "
+                      f"_lzma extension links: {err}") from err
+# uint64_t lzma_crc64(const uint8_t *buf, size_t size, uint64_t crc)
+_lzma_crc64.restype = ctypes.c_uint64
+_lzma_crc64.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint64)
 
 
 def crc64(*buffers) -> int:
     """CRC-64/XZ of the concatenated ``buffers`` (bytes, bytearray, memoryview or arrays)."""
-    # reg(A || B) = advance(reg(A), len(B)) ^ (register of B from zero); the
-    # all-ones init is the register before the first piece
-    reg = _ALL_ONES
+    crc = 0
     for buf in buffers:
         octets = np.frombuffer(buf, dtype=np.uint8)
-        reg = _advance(reg, len(octets)) ^ _piece_register(buf, octets)
-    return reg ^ _ALL_ONES
+        crc = _lzma_crc64(octets.ctypes.data, octets.size, crc)
+    return crc
 
 
 def atomic_write(path, *buffers) -> None:

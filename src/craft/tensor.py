@@ -77,9 +77,7 @@ def frozen_array(data, name: str, shape) -> np.ndarray:
 
     A C-contiguous float64 ``data`` that passes :func:`is_immutable` is shared, so update
     steps keep the frozen buffers by reference; anything else, a read-only
-    view of a writable array included, is copied.  A frozen buffer must
-    never change: a file written from it after a change made through a
-    writable view taken before it was frozen fails its checksum on read.
+    view of a writable array included, is copied.
     """
     shareable = (
         isinstance(data, np.ndarray)

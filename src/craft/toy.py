@@ -409,8 +409,11 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
             g[name] += partial[name]
     g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
     if "embeddings" in groups:
-        g["embeddings"] = np.zeros_like(model.embeddings)
-        np.add.at(g["embeddings"], tok.ravel(), buf.dx[:len(tok)].reshape(-1, model.cfg.d_model))
+        # each cell sums its token's rows in sequence order from +0.0, as np.add.at does
+        d = model.cfg.d_model
+        cells = (tok[..., None] * d + np.arange(d)).ravel()
+        g["embeddings"] = np.bincount(cells, weights=buf.dx[:len(tok)].ravel(),
+                                      minlength=model.cfg.vocab_size * d).reshape(-1, d)
     return loss, g
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import os
 import struct
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,19 @@ def test_crc64_check_vector():
     assert crc64(b"") == 0
 
 
+def test_import_without_the_lzma_extension_names_it():
+    src = str(Path(serialization.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    block = "import sys; sys.modules['_lzma'] = None; "
+    assert subprocess.run([sys.executable, "-c", block + "import craft"], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", block + "import craft.serialization"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "ImportError: craft.serialization needs lzma_crc64" in proc.stderr
+    assert "_lzma" in proc.stderr.splitlines()[-1]
+
+
 def assert_crc64_matches_reference(length, seed):
     data = np.random.default_rng(seed).integers(0, 256, length + 3, dtype=np.uint8).tobytes()
     expected = reference_crc64(data[1:-2])
@@ -73,11 +88,9 @@ def assert_crc64_matches_reference(length, seed):
     assert crc64(memoryview(data)[1:-2]) == expected
 
 
-# n = k * 2**j + delta.  crc64 runs L lanes, L the largest power of two at
-# most n // 8 and 4096, over rows of L words, and copies only the first row,
-# zero-padded in front.  k * 2**j gives whole words (j >= 3), and for k a
-# power of two whole rows and the lengths where L doubles; delta puts one
-# byte either side of those, and 7-9 bytes short, about one word of padding.
+# n = k * 2**j + delta.  k * 2**j gives whole 8-byte words (j >= 3), and for
+# k a power of two the power-of-two lengths; delta puts one byte either side
+# of those, and 7-9 bytes short, where a word loop leaves a tail of bytes.
 # Lengths 0-7 are below one word.
 _LANE_BOUNDARIES = st.builds(
     lambda k, j, delta: max(0, k * 2**j + delta),
@@ -92,18 +105,18 @@ def test_crc64_matches_the_byte_loop(length, seed):
 
 
 @pytest.mark.parametrize("length", [
-    4096 * 8 - 8,       # 2048 lanes, a first row one word short of full
-    4096 * 8 - 7,       # 2048 lanes, one data byte in the first word
-    4096 * 8 - 1,       # 2048 lanes, a first row one byte short of full
-    4096 * 8,           # the first length on 4096 lanes: one full row
-    4096 * 8 + 1,       # one byte more: one data byte in the first row
-    4096 * 8 * 2 - 1,   # two rows, one byte short
+    4096 * 8 - 8,
+    4096 * 8 - 7,
+    4096 * 8 - 1,
+    4096 * 8,
+    4096 * 8 + 1,
+    4096 * 8 * 2 - 1,
     4096 * 8 * 2,
     4096 * 8 * 2 + 1,
-    4096 * 64,          # eight full rows
+    4096 * 64,
     4096 * 64 + 1,
     1_688_120,          # the CRC input of a 12x128x128 adapter file, ranks (4, 32, 32)
-    4096 * 8 * 52 - 1,  # the row count of that file, one byte either side
+    4096 * 8 * 52 - 1,
     4096 * 8 * 52 + 1,
     2**21 - 1,
 ])
@@ -113,7 +126,7 @@ def test_crc64_matches_the_byte_loop_on_large_inputs(length):
 
 @pytest.mark.parametrize("length", [8 * 2**j + d for j in range(13) for d in (-1, 0, 1)])
 def test_crc64_matches_the_byte_loop_where_the_lane_count_doubles(length):
-    # n // 8 = 2**j words: 2**j lanes from here, half as many one byte short
+    # n // 8 = 2**j words, and one byte either side
     assert_crc64_matches_reference(length, seed=length)
 
 
@@ -124,14 +137,11 @@ def _pieces(draw):
     return [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
 
 
-_ROW = 8 * 4096  # one row of the largest lane count
-
-
 @given(pieces=_pieces())
-@example(pieces=[b"", b"\x01" * (_ROW - 5), b"", bytes(range(256)) * 130, b"x"])  # spans a row
+@example(pieces=[b"", b"\x01" * (8 * 4096 - 5), b"", bytes(range(256)) * 130, b"x"])
 @settings(max_examples=150, deadline=None)
 def test_crc64_of_pieces_is_crc64_of_the_joined_input(pieces):
-    # the registers of the pieces, each from zero, combine by linearity
+    # each piece continues the CRC of the pieces before it
     joined = b"".join(pieces)
     expected = reference_crc64(joined)
     assert crc64(*pieces) == expected
@@ -290,7 +300,7 @@ def test_every_single_byte_flip_of_an_adapter_file_is_detected(tmp_path_factory,
 
 
 def cold_adapter_bytes(a):
-    """A kind-4 file checksummed from fresh writable copies: no stored register applies."""
+    """A kind-4 file built from fresh writable copies of the adapter's blocks."""
     blocks = [np.array(b) for b in adapter_blocks(a)]
     header = b"CRFT" + struct.pack("<HBB6Q", 2, KIND_CRAFT_ADAPTER, 1, *(a.dims + a.ranks.as_tuple()))
     checksum = struct.pack("<Q", crc64(header, *blocks))
@@ -299,7 +309,8 @@ def cold_adapter_bytes(a):
 
 @given(dims=st.tuples(*[st.integers(1, 4)] * 3), steps=st.integers(1, 4), data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_warm_writes_equal_cold_writes(tmp_path_factory, dims, steps, data):
+def test_every_write_over_update_steps_equals_the_file_from_fresh_copies(
+        tmp_path_factory, dims, steps, data):
     ranks = tuple(data.draw(st.integers(1, d)) for d in dims)
     seed = data.draw(st.integers(0, 2**31))
     a = sample_adapter(seed, dims, ranks)
@@ -310,26 +321,6 @@ def test_warm_writes_equal_cold_writes(tmp_path_factory, dims, steps, data):
         assert path.read_bytes() == cold_adapter_bytes(a)
         assert_same_adapter(read_craft_adapter(path), a)
         a = sgd_step(a, [rng.standard_normal(j.shape) for j in a.j_matrices], 0.1)
-    # every write after the first found the frozen blocks' registers stored
-    for block in adapter_blocks(a)[:5]:
-        assert serialization._REGISTERS[id(block)][0]() is block
-
-
-def test_a_warm_write_checksums_only_the_header_and_the_js(tmp_path, monkeypatch):
-    sizes = []
-    register = serialization._register
-
-    def counting(octets):
-        sizes.append(len(octets))
-        return register(octets)
-
-    monkeypatch.setattr(serialization, "_register", counting)
-    a = sample_adapter(5, (4, 6, 5), (2, 3, 2))
-    write_craft_adapter(tmp_path / "a.crft", a)
-    assert len(sizes) == 9  # header and eight blocks
-    sizes.clear()
-    write_craft_adapter(tmp_path / "a.crft", sgd_step(a, [np.ones_like(j) for j in a.j_matrices], 0.1))
-    assert sizes == [HEADER6, 8 * 2 * 2, 8 * 3 * 3, 8 * 2 * 2]
 
 
 def test_crc64_of_a_writable_array_follows_its_contents():
@@ -349,38 +340,25 @@ def _read_only(arr):
     lambda mem: np.frombuffer(memoryview(mem).toreadonly(), dtype="<f8"),
     lambda mem: _read_only(np.frombuffer(mem, dtype="<f8")),
 ], ids=["view-of-writable-array", "read-only-memoryview-of-bytearray", "read-only-array-over-bytearray"])
-def test_crc64_never_stores_the_register_of_a_read_only_view_of_writable_memory(make):
+def test_crc64_of_a_read_only_view_follows_the_memory_under_it(make):
     memory = bytearray(np.arange(32.0).tobytes())
     piece = make(memory)
     assert not piece.flags.writeable
-    stored = len(serialization._REGISTERS)
     first = crc64(piece)
-    assert len(serialization._REGISTERS) == stored
     memory[100] ^= 0xFF
     assert crc64(piece) == reference_crc64(piece.tobytes()) != first
 
 
-def test_stored_registers_leave_with_their_arrays(tmp_path):
-    stored = len(serialization._REGISTERS)
-    for seed in range(6):
-        a = sample_adapter(seed)
-        write_craft_adapter(tmp_path / "a.crft", a)
-        assert len(serialization._REGISTERS) == stored + 8
-        del a
-    assert len(serialization._REGISTERS) == stored
-
-
-def test_stored_registers_hold_under_threads():
+def test_concurrent_crc64_calls_stay_correct():
     shared = sample_adapter(9)
-    expected = crc64(*(b.tobytes() for b in adapter_blocks(shared)))
-    stored = len(serialization._REGISTERS)
+    expected = reference_crc64(b"".join(b.tobytes() for b in adapter_blocks(shared)))
     errors = []
 
     def work(seed):
         try:
             for k in range(20):
                 own = adapter_blocks(sample_adapter(100 * seed + k, (2, 3, 2), (1, 2, 1)))
-                if crc64(*own) != crc64(*(b.tobytes() for b in own)):
+                if crc64(*own) != reference_crc64(b"".join(b.tobytes() for b in own)):
                     errors.append(f"thread {seed}: wrong CRC of a fresh adapter")
                 if crc64(*adapter_blocks(shared)) != expected:
                     errors.append(f"thread {seed}: wrong CRC of the shared adapter")
@@ -399,9 +377,6 @@ def test_stored_registers_hold_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(serialization._REGISTERS) == stored + 8  # the shared adapter's blocks
-    del shared
-    assert len(serialization._REGISTERS) == stored
 
 
 def test_rewrite_is_byte_identical(tmp_path):
