@@ -323,6 +323,19 @@ def test_every_write_over_update_steps_equals_the_file_from_fresh_copies(
         a = sgd_step(a, [rng.standard_normal(j.shape) for j in a.j_matrices], 0.1)
 
 
+def test_a_write_after_frozen_memory_changes_in_place_reads_back(tmp_path):
+    a = sample_adapter(4)
+    path = tmp_path / "a.crft"
+    write_craft_adapter(path, a)
+    for block in adapter_blocks(a)[:5]:
+        block.setflags(write=True)
+        np.negative(block, out=block)  # keeps the factors orthonormal
+        block.setflags(write=False)
+    write_craft_adapter(path, a)
+    assert path.read_bytes() == cold_adapter_bytes(a)
+    assert_same_adapter(read_craft_adapter(path), a)
+
+
 def test_crc64_of_a_writable_array_follows_its_contents():
     arr = np.arange(64.0)
     first = crc64(arr)
