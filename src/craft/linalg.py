@@ -161,9 +161,10 @@ def _pair_rotations(g: np.ndarray, indices: tuple[np.ndarray, np.ndarray]) -> np
 
 def _sweep_indices(blocks: int, k: int) -> tuple:
     """Index arrays every :func:`_sweep` over ``blocks`` blocks of ``k`` rows
-    reads: the row gather of one round, the rows and columns of a pair
+    reads: the row gather of one round (``None`` for one block pair, whose
+    round leaves the rows where they are), the rows and columns of a pair
     Gram's upper triangle, and the indices of :func:`_pair_rotations`."""
-    row_shift = (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
+    row_shift = None if blocks == 2 else (_circle_shift(blocks)[:, None] * k + np.arange(k)).ravel()
     p, q = np.nonzero(np.arange(2 * k)[:, None] < np.arange(2 * k))
     return row_shift, p, q, _rotation_indices(blocks // 2, 2 * k)
 
@@ -187,8 +188,8 @@ def _sweep(b: np.ndarray, u: np.ndarray, blocks: int, indices: tuple,
     rotated = False
     # blocks - 1 rounds bring the rows back to their original order
     for _ in range(blocks - 1):
-        xb = b[row_shift].reshape(blocks // 2, 2 * k, -1)
-        xu = u[row_shift].reshape(blocks // 2, 2 * k, -1)
+        xb = (b if row_shift is None else b[row_shift]).reshape(blocks // 2, 2 * k, -1)
+        xu = (u if row_shift is None else u[row_shift]).reshape(blocks // 2, 2 * k, -1)
         g = xb @ xb.transpose(0, 2, 1)
         # masked sum: ||g||^2 - sum(diag^2) would cancel to rounding level
         pairs = np.square(g[:, p, q])
@@ -201,10 +202,13 @@ def _sweep(b: np.ndarray, u: np.ndarray, blocks: int, indices: tuple,
         # the stopping rule's own form: with one block pair a round is skipped
         # exactly when the sweep meets the rule
         if math.sqrt(round_off * (blocks - 1)) / scale <= OFF_TOL and round_cosine <= REL_TOL:
-            b[...] = xb.reshape(b.shape)
-            u[...] = xu.reshape(u.shape)
+            if row_shift is not None:
+                b[...] = xb.reshape(b.shape)
+                u[...] = xu.reshape(u.shape)
         else:
             vt = _pair_rotations(g, rotation_indices).transpose(0, 2, 1)
+            # with one block pair xb is a view of b: matmul copies an input
+            # that overlaps its output before writing
             np.matmul(vt, xb, out=b.reshape(xb.shape))
             np.matmul(vt, xu, out=u.reshape(xu.shape))
             rotated = True

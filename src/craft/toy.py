@@ -48,7 +48,7 @@ import numpy as np
 
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
 from .errors import DivergenceError, PretrainError, ValidationError, check_int, check_real
-from .tucker import TuckerRanks
+from .tucker import TuckerRanks, usable_cpus
 
 TASK_RULES = ("majority", "majority_flip")
 PROJECTIONS = {"Q": "wq", "V": "wv"}
@@ -80,9 +80,7 @@ def _usable_workers() -> int:
     two of each), so the chunks then run one at a time and BLAS keeps the
     CPUs.
     """
-    if _blas_threads() != 1:
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return usable_cpus() if _blas_threads() == 1 else 1
 
 
 _WORKERS = _usable_workers()

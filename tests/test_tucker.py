@@ -1,9 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from craft import linalg
+from craft import linalg, tucker
 from craft.errors import ConvergenceError, RankError, ValidationError
 from craft.tensor import frobenius_norm, unfold
 from craft.tucker import (
@@ -136,16 +142,198 @@ def test_approximation_error_zero_tensor():
     assert absolute == 0.0 and relative == 0.0
 
 
-def test_hosvd_names_the_mode_whose_svd_ran_out_of_sweeps(monkeypatch):
+@pytest.fixture
+def forks(monkeypatch):
+    """Records every ``os.fork`` in the test; the parent sees the child's pid."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def force_fork(monkeypatch, fork=True):
+    """Make every ``hosvd`` solve its largest unfolding in a child, or none."""
+    monkeypatch.setattr(tucker, "FORK_ABOVE_ROWS", 0 if fork else sys.maxsize)
+    monkeypatch.setattr(tucker, "usable_cpus", lambda: 2)
+
+
+def assert_same_factors(f, g):
+    for name in ("core", "u1", "u2", "u3"):
+        a, b = getattr(f, name), getattr(g, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert f.convergence == g.convergence
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("dims,ranks", [((12, 64, 64), (4, 16, 16)),
+                                        ((6, 40, 56), (3, 10, 12)),
+                                        ((5, 12, 9), (5, 12, 9))],
+                         ids=["12x64x64", "6x40x56", "full-ranks"])
+def test_forked_hosvd_is_bitwise_the_serial_one(monkeypatch, forks, dims, ranks):
+    w = np.random.default_rng(12).standard_normal(dims) * np.linspace(0.2, 2.0, dims[2])
+    force_fork(monkeypatch, False)
+    serial = hosvd(w, TuckerRanks(*ranks))
+    assert forks == []
+    force_fork(monkeypatch)
+    assert_same_factors(hosvd(w, TuckerRanks(*ranks)), serial)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def _fork_that_fails():
+    raise OSError("fork refused")
+
+
+def _fork_whose_child_dies(real_fork=os.fork):
+    pid = real_fork()
+    if pid == 0:
+        os._exit(0)
+    return pid
+
+
+@pytest.mark.parametrize("fork", [_fork_that_fails, _fork_whose_child_dies],
+                         ids=["fork-fails", "child-dies"])
+def test_hosvd_solves_the_child_mode_itself_when_the_child_gives_nothing(monkeypatch, fork):
+    w = np.random.default_rng(13).standard_normal((4, 40, 40))
+    ranks = TuckerRanks(2, 8, 8)
+    force_fork(monkeypatch, False)
+    serial = hosvd(w, ranks)
+    force_fork(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    assert_same_factors(hosvd(w, ranks), serial)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["serial", "fork"])
+@pytest.mark.parametrize("dims", [(1, 8, 9), (1, 9, 9)], ids=["1x8x9", "1x9x9"])
+def test_hosvd_names_the_mode_whose_svd_ran_out_of_sweeps(monkeypatch, forks, dims, fork):
     # the first sweep always runs, so a factor of 0 leaves a budget of one;
-    # the single-row mode-1 unfolding converges within it, mode 2 does not
+    # the single-row mode-1 unfolding converges within it, modes 2 and 3 do
+    # not.  A child solves mode 3 of (1, 8, 9) and mode 2 of (1, 9, 9), so
+    # the lowest failing mode must be named whichever process found it.
     monkeypatch.setattr(linalg, "SWEEP_CAP_FACTOR", 0)
-    w = np.random.default_rng(11).standard_normal((1, 8, 9))
+    force_fork(monkeypatch, fork)
+    w = np.random.default_rng(11).standard_normal(dims)
     with pytest.raises(ConvergenceError) as info:
         hosvd(w, TuckerRanks(1, 2, 2))
     assert info.value.mode == 2
     assert info.value.residual > linalg.OFF_TOL
     assert "mode 2" in str(info.value)
+    assert len(forks) == fork
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch, forks):
+    def interrupted(arr, mode, r):
+        raise KeyboardInterrupt
+
+    force_fork(monkeypatch)
+    # the child calls truncated_svd and would sleep on; this process solves
+    # its own modes through _solve and is interrupted in the first
+    monkeypatch.setattr(tucker, "truncated_svd", lambda m, r: time.sleep(60.0))
+    monkeypatch.setattr(tucker, "_solve", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        hosvd(np.random.default_rng(14).standard_normal((4, 40, 40)), TuckerRanks(2, 8, 8))
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+KILLED_PARENT = """
+import os, time
+import numpy as np
+from craft import tucker
+
+tucker.FORK_ABOVE_ROWS = 0
+tucker.usable_cpus = lambda: 2
+# both processes sleep inside hosvd: the child in truncated_svd, this one in _solve
+tucker.truncated_svd = lambda m, r: time.sleep(60.0)
+tucker._solve = lambda arr, mode, r: time.sleep(60.0)
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = fork
+tucker.hosvd(np.ones((2, 4, 4)), tucker.TuckerRanks(1, 1, 1))
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and fork")
+def test_a_killed_parent_takes_its_child_along():
+    src = str(Path(tucker.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", KILLED_PARENT], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(parent.stdout.readline())
+        time.sleep(0.2)  # let the child reach its sleep
+        assert _running(child)
+    finally:
+        parent.kill()
+        parent.wait(10.0)
+        parent.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(child)
+
+
+def test_hosvd_forks_only_above_the_row_threshold(monkeypatch, forks):
+    monkeypatch.setattr(tucker, "usable_cpus", lambda: 2)
+    rows = tucker.FORK_ABOVE_ROWS
+    rng = np.random.default_rng(15)
+    hosvd(rng.standard_normal((2, 3, rows)), TuckerRanks(1, 2, 2))
+    assert forks == []
+    hosvd(rng.standard_normal((2, 3, rows + 1)), TuckerRanks(1, 2, 2))
+    assert len(forks) == 1
+
+
+def test_hosvd_stays_serial_with_another_thread_alive(monkeypatch, forks):
+    force_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10.0,))
+    thread.start()
+    try:
+        hosvd(np.random.default_rng(16).standard_normal((2, 40, 40)), TuckerRanks(1, 4, 4))
+    finally:
+        release.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("platform,cpus", [("darwin", 2), ("win32", 2), ("linux", 1)])
+def test_hosvd_stays_serial_off_linux_or_on_one_cpu(monkeypatch, forks, platform, cpus):
+    force_fork(monkeypatch)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(tucker, "usable_cpus", lambda: cpus)
+    hosvd(np.random.default_rng(17).standard_normal((2, 40, 40)), TuckerRanks(1, 4, 4))
+    assert forks == []
 
 
 def test_hosvd_rejects_invalid_ranks():
