@@ -25,6 +25,12 @@ and every squared cosine) is not rotated: its columns only move on to the
 next round's pairs.  So the sweep that finds a solve converged rotates
 nothing when the columns fit one block pair.
 
+The stopping rule sees fourth powers of the input (squared Gram entries),
+so an input whose largest magnitude lies outside ``[2**-BAND, 2**BAND]`` is
+first scaled into that band by a power of two and its singular values are
+scaled back.  That is exact: vectors, sweeps and residual are the same at
+any scale.
+
 Sign convention for every returned vector: the entry of largest magnitude is
 nonnegative (ties broken by lowest index), so repeated runs and serialized
 results are reproducible.
@@ -46,6 +52,8 @@ OFF_TOL = 1e-12
 REL_TOL = 1e-10
 # budget in outer sweeps, per row of the input
 SWEEP_CAP_FACTOR = 100
+# inputs whose largest magnitude lies outside [2**-BAND, 2**BAND] are rescaled
+BAND = 100
 # widest column block: wider blocks mean fewer, larger matrix products per
 # sweep but more elementwise work in each pair's inner sweep
 MAX_BLOCK = 32
@@ -225,6 +233,10 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     a = check_array(m, "m", (None, None))
     rows, cols = a.shape
     r = check_int(r, "r", 1, rows, RankError)
+    peak = max(a.max(), -a.min())  # max |a| without an |a| temporary
+    shift = 0 if peak == 0.0 or 2.0**-BAND <= peak <= 2.0**BAND else -math.frexp(peak)[1]
+    if shift:
+        a = np.ldexp(a, shift)
 
     scale = float(np.sum(a * a))  # == ||a||_F^2, invariant under the rotations
     if scale == 0.0:
@@ -257,4 +269,4 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     norms = np.sqrt(np.sum(np.square(b[:rows]), axis=1))
     order = np.argsort(-norms, kind="stable")[:r]
     left = _fix_signs(np.ascontiguousarray(u[order].T))
-    return TruncatedSVD(left, norms[order], sweeps=sweeps, residual=residual)
+    return TruncatedSVD(left, np.ldexp(norms[order], -shift), sweeps=sweeps, residual=residual)

@@ -27,24 +27,25 @@ same set in passes of its batch.
 Every pass splits its sequences into chunks of ``CHUNK`` at fixed
 boundaries and runs the forward and backward of each chunk on a worker
 thread, in that chunk's own rows of the buffers: one worker per usable CPU
-when OpenBLAS runs one thread per call (``_blas_threads``), otherwise one,
-and at most one per chunk.  The calling thread does what needs the whole
-batch: the head, the loss, and the sums of the per-chunk weight gradients
-in chunk order.  The split depends only on the number of sequences, so
-every result is the same bytes whatever the CPU or BLAS thread count.
+where numpy's BLAS is OpenBLAS, else one, and at most one per chunk.  While
+they run, the whole process gets one OpenBLAS thread per call (``_chunked``).
+The calling thread does what needs the whole batch: the head, the loss, and
+the sums of the per-chunk weight gradients in chunk order.  The split
+depends only on the number of sequences, so every result is the same bytes
+whatever the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
 import hashlib
-import os
-import re
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
 from .errors import DivergenceError, PretrainError, ValidationError, check_int, check_real
@@ -58,32 +59,21 @@ PARAMS = BACKBONE + ("head_w", "head_b")
 CHUNK = 128
 
 
-def _blas_threads() -> int | None:
-    """The BLAS thread count OpenBLAS takes from the environment, ``None`` if unset.
-
-    OpenBLAS reads the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
-    and ``OMP_NUM_THREADS`` that ``atoi`` reads as positive, and otherwise
-    starts one thread per CPU.  Other BLAS builds are not covered.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        digits = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
-        if digits and int(digits[1]) > 0:
-            return int(digits[1])
+def _bind_openblas():
+    """OpenBLAS's ``(get, set)`` of its thread count, from the libraries numpy's
+    core extension links (numpy's bundled names first); ``None`` for another BLAS."""
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # loaded already, so it opens
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get and put:
+            get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
+            return get, put
     return None
 
 
-def _usable_workers() -> int:
-    """One chunk worker per usable CPU when BLAS runs each call on one thread.
-
-    Threads that call into a BLAS running threads of its own wait on each
-    other (on a 2-CPU host a default toy step took 59 ms instead of 20 with
-    two of each), so the chunks then run one at a time and BLAS keeps the
-    CPUs.
-    """
-    return usable_cpus() if _blas_threads() == 1 else 1
-
-
-_WORKERS = _usable_workers()
+_OPENBLAS = _bind_openblas()
+_WORKERS = usable_cpus() if _OPENBLAS else 1
 
 
 @dataclass(frozen=True)
@@ -252,11 +242,13 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
 
     The chunks are ``CHUNK`` sequences each, the last one partial.  The
     calling thread works too, so ``min(chunks, _WORKERS) - 1`` threads start,
-    and all of them are joined before this returns.  Each worker runs under
-    the caller's numpy error state and stops at its first failing chunk.  An
-    interrupt (a ``BaseException`` that is no ``Exception``, such as
-    ``KeyboardInterrupt``) is raised here first, and otherwise the exception
-    of the first chunk that failed.
+    and all of them are joined before this returns.  Threads calling into a
+    threaded OpenBLAS wait on each other, so OpenBLAS runs one thread per
+    call, in every thread of the process, until they are joined.  Each worker
+    runs under the caller's numpy error state and stops at its first failing
+    chunk.  An interrupt (a ``BaseException`` that is no ``Exception``, such
+    as ``KeyboardInterrupt``) is raised here first, and otherwise the
+    exception of the first chunk that failed.
     """
     bounds = [(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
     results, errors = [None] * len(bounds), [None] * len(bounds)
@@ -272,11 +264,18 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
                     break  # the chunks this thread skips all come after this one
 
     threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
+    blas = _OPENBLAS[0]() if threads and _OPENBLAS else 1
+    if blas != 1:
+        _OPENBLAS[1](1)
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+        for t in threads:
+            t.join()
+    finally:
+        if blas != 1:
+            _OPENBLAS[1](blas)
     failed = [err for err in errors if err is not None]
     if failed:
         raise next((err for err in failed if not isinstance(err, Exception)), failed[0])

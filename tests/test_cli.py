@@ -375,8 +375,8 @@ def _run_with_blas_threads(threads, cwd, *args):
 
 
 # eval_size=96 evaluates pretraining in a 64-sequence chunk and a 32-sequence one;
-# 300 sequences are three toy chunks, run on one worker per CPU where OpenBLAS
-# runs one thread per call and one at a time where it runs two
+# 300 sequences are three toy chunks, run on one worker per CPU with OpenBLAS
+# held at one thread per call while they run
 @pytest.mark.parametrize("command,config", [
     ("decompose", None),
     ("train-toy", TINY_TOY),

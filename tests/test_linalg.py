@@ -108,6 +108,20 @@ def test_svd_reports_sweeps_and_residual():
     assert 0.0 <= res.residual <= OFF_TOL
 
 
+@pytest.mark.parametrize("k", [100, -100, 300, -300, 600, -600, 1000, -1000])
+def test_svd_at_any_power_of_two_scale_is_the_unscaled_one(k):
+    """The stopping rule sees fourth powers of the input, which overflow above
+    about 1e77 and underflow below 1e-77; the solve scales such input into
+    range by a power of two, so only the singular values change, exactly."""
+    m = np.random.default_rng(10).standard_normal((10, 20))
+    ref = truncated_svd(m, 10)
+    with np.errstate(all="raise"):
+        res = truncated_svd(np.ldexp(m, k), 10)
+    assert res.left_vectors.tobytes() == ref.left_vectors.tobytes()
+    assert res.singular_values.tobytes() == np.ldexp(ref.singular_values, k).tobytes()
+    assert (res.sweeps, res.residual) == (ref.sweeps, ref.residual)
+
+
 def test_svd_r_beyond_numerical_rank_completes_basis():
     # tall rank-1 input: extra requested vectors come back orthonormal with
     # zero singular values; 130 rows take several column blocks, the last

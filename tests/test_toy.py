@@ -1,6 +1,10 @@
+import contextlib
 import itertools
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,29 +559,73 @@ def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, wor
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("env,threads", [
-    ({}, None),
-    ({"MKL_NUM_THREADS": "1"}, None),  # OpenBLAS ignores MKL's variable
-    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),  # atoi reads 0 as unset
-    ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": " 1x", "OMP_NUM_THREADS": "2"}, 1),  # atoi reads " 1x" as 1
-])
-def test_blas_threads_follow_openblas_precedence(monkeypatch, env, threads):
-    """Chunk workers start only where OpenBLAS runs one thread per call, as
-    OpenBLAS reads its thread count from the environment."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert toy._blas_threads() == threads
-    if threads != 1:
-        assert toy._usable_workers() == 1
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's ``get`` with its thread count set to 2, put back afterwards."""
+    if toy._OPENBLAS is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = toy._OPENBLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt],
+                         ids=["returns", "exception", "interrupt"])
+def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_at_two, failure):
+    """Every chunk on two workers sees one OpenBLAS thread, and the count
+    reads two again after the call, also when a chunk raises."""
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    seen = []
+
+    def work(start, stop):
+        seen.append(blas_at_two())
+        if failure and start == CHUNK:  # chunk 1, on the worker thread
+            raise failure("chunk 1")
+
+    with pytest.raises(failure) if failure else contextlib.nullcontext():
+        toy._chunked(3 * CHUNK, work)
+    assert seen == [1, 1, 1]
+    assert blas_at_two() == 2
+    assert toy._chunked(CHUNK, lambda start, stop: blas_at_two()) == [2]  # one chunk, no worker
+
+
+def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas_at_two):
+    """A KeyboardInterrupt that reaches the calling thread while it waits for
+    a worker, after that worker is done, still restores the count."""
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    join = threading.Thread.join
+
+    def interrupted(thread, timeout=None):
+        join(thread)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        toy._chunked(2 * CHUNK, lambda start, stop: None)
+    assert blas_at_two() == 2
+
+
+def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
+    """Where numpy's BLAS exports no OpenBLAS thread calls (MKL, BLIS,
+    Accelerate) the toy imports with one worker; forced to two workers,
+    its chunks run at whatever count BLAS had."""
+    probe = ("import ctypes\n"
+             "from numpy._core import _multiarray_umath\n"
+             "cdll = ctypes.CDLL\n"
+             "ctypes.CDLL = lambda name, *a, **kw: (\n"
+             "    object() if name == _multiarray_umath.__file__ else cdll(name, *a, **kw))\n"
+             "from craft import toy\n"
+             "print(toy._OPENBLAS, toy._WORKERS)\n")
+    src = str(Path(toy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1\n", "")
+    read = toy._OPENBLAS[0] if toy._OPENBLAS else lambda: None
+    monkeypatch.setattr(toy, "_OPENBLAS", None)
+    monkeypatch.setattr(toy, "_WORKERS", 2)
+    assert toy._chunked(3 * CHUNK, lambda start, stop: read()) == [read()] * 3
 
 
 def test_chunk_workers_under_stress_match_one_worker(monkeypatch):

@@ -105,6 +105,18 @@ def test_reconstruct_norm_equals_core_norm():
     assert core_norm < frobenius_norm(w)
 
 
+def test_hosvd_of_a_tiny_scaled_tensor_is_the_unscaled_one_scaled():
+    """At 2**-600 every Gram entry of an unfolding squares to below the
+    smallest double; the factors must still be those of the unscaled tensor."""
+    w = np.random.default_rng(11).standard_normal((4, 8, 8))
+    ranks = TuckerRanks(2, 4, 4)
+    ref, tiny = hosvd(w, ranks), hosvd(np.ldexp(w, -600), ranks)
+    for name in ("u1", "u2", "u3"):
+        assert getattr(tiny, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert tiny.core.tobytes() == np.ldexp(ref.core, -600).tobytes()
+    assert tiny.convergence == ref.convergence
+
+
 def test_hosvd_idempotent_on_reconstruction():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((5, 6, 7))
