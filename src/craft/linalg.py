@@ -27,9 +27,9 @@ nothing when the columns fit one block pair.
 
 The stopping rule sees fourth powers of the input (squared Gram entries),
 so an input whose largest magnitude lies outside ``[2**-BAND, 2**BAND]`` is
-first scaled into that band by a power of two and its singular values are
-scaled back.  That is exact: vectors, sweeps and residual are the same at
-any scale.
+first scaled into that band by a power of two (``tensor.into_band``) and
+its singular values are scaled back.  That is exact: vectors, sweeps and
+residual are the same at any scale.
 
 Sign convention for every returned vector: the entry of largest magnitude is
 nonnegative (ties broken by lowest index), so repeated runs and serialized
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, RankError, check_int
-from .tensor import check_array
+from .tensor import check_array, into_band
 
 # off-diagonal mass must shrink below OFF_TOL relative to the invariant scale,
 # and every pair's squared cosine below REL_TOL (see TruncatedSVD)
@@ -52,8 +52,6 @@ OFF_TOL = 1e-12
 REL_TOL = 1e-10
 # budget in outer sweeps, per row of the input
 SWEEP_CAP_FACTOR = 100
-# inputs whose largest magnitude lies outside [2**-BAND, 2**BAND] are rescaled
-BAND = 100
 # widest column block: wider blocks mean fewer, larger matrix products per
 # sweep but more elementwise work in each pair's inner sweep
 MAX_BLOCK = 32
@@ -233,10 +231,7 @@ def truncated_svd(m, r: int) -> TruncatedSVD:
     a = check_array(m, "m", (None, None))
     rows, cols = a.shape
     r = check_int(r, "r", 1, rows, RankError)
-    peak = max(a.max(), -a.min())  # max |a| without an |a| temporary
-    shift = 0 if peak == 0.0 or 2.0**-BAND <= peak <= 2.0**BAND else -math.frexp(peak)[1]
-    if shift:
-        a = np.ldexp(a, shift)
+    a, shift = into_band(a)
 
     scale = float(np.sum(a * a))  # == ||a||_F^2, invariant under the rotations
     if scale == 0.0:

@@ -29,6 +29,7 @@ products; this one is the cheapest to realize on row-major storage.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,8 @@ from .errors import ValidationError, check_int
 
 # axis permutation placing mode n first, remaining axes in ascending order
 _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+# sums of squares first scale an array's largest magnitude into [2**-BAND, 2**BAND]
+BAND = 100
 
 
 def check_array(data, name: str, shape) -> np.ndarray:
@@ -156,7 +159,16 @@ def mode_n_product(t, u, mode: int) -> np.ndarray:
     return (arr.reshape(i1 * i2, i3) @ mat.T).reshape(i1, i2, -1)
 
 
+def into_band(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**shift, shift)`` for the power of two that brings the largest
+    magnitude of ``a`` into ``[2**-BAND, 2**BAND]``; ``(a, 0)`` if it lies there
+    or ``a`` is zero.  The largest square then neither overflows nor vanishes."""
+    peak = max(a.max(), -a.min())  # max |a| without an |a| temporary
+    shift = 0 if peak == 0.0 or 2.0**-BAND <= peak <= 2.0**BAND else -math.frexp(peak)[1]
+    return (np.ldexp(a, shift) if shift else a), shift
+
+
 def frobenius_norm(t) -> float:
-    """Square root of the sum of squared entries of a Tensor3."""
-    arr = check_array(t, "t", (None, None, None))
-    return float(np.sqrt(np.sum(arr * arr)))
+    """Square root of the sum of squared entries of a Tensor3, at any scale (:func:`into_band`)."""
+    arr, shift = into_band(check_array(t, "t", (None, None, None)))
+    return math.ldexp(float(np.sqrt(np.sum(arr * arr))), -shift)

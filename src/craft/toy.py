@@ -26,9 +26,8 @@ same set in passes of its batch.
 
 Every pass splits its sequences into chunks of ``CHUNK`` at fixed
 boundaries and runs the forward and backward of each chunk on a worker
-thread, in that chunk's own rows of the buffers: one worker per usable CPU
-where numpy's BLAS is OpenBLAS, else one, and at most one per chunk.  While
-they run, the whole process gets one OpenBLAS thread per call (``_chunked``).
+thread, in that chunk's own rows of the buffers: ``parallel.WORKERS`` of
+them (at most one per chunk), under ``parallel.one_blas_thread``.
 The calling thread does what needs the whole batch: the head, the loss, and
 the sums of the per-chunk weight gradients in chunk order.  The split
 depends only on the number of sequences, so every result is the same bytes
@@ -37,19 +36,19 @@ whatever the CPU or BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import copy
-import ctypes
 import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy._core import _multiarray_umath
 
+from . import parallel
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
 from .errors import DivergenceError, PretrainError, ValidationError, check_int, check_real
-from .tucker import TuckerRanks, usable_cpus
+from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
 PROJECTIONS = {"Q": "wq", "V": "wv"}
@@ -57,23 +56,6 @@ BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
 PARAMS = BACKBONE + ("head_w", "head_b")
 # sequences per chunk; a batch splits at multiples of it, whatever the CPU count
 CHUNK = 128
-
-
-def _bind_openblas():
-    """OpenBLAS's ``(get, set)`` of its thread count, from the libraries numpy's
-    core extension links (numpy's bundled names first); ``None`` for another BLAS."""
-    lib = ctypes.CDLL(_multiarray_umath.__file__)  # loaded already, so it opens
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get and put:
-            get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
-            return get, put
-    return None
-
-
-_OPENBLAS = _bind_openblas()
-_WORKERS = usable_cpus() if _OPENBLAS else 1
 
 
 @dataclass(frozen=True)
@@ -241,18 +223,17 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
     """``[work(start, stop) for each chunk of n sequences]``, run on worker threads.
 
     The chunks are ``CHUNK`` sequences each, the last one partial.  The
-    calling thread works too, so ``min(chunks, _WORKERS) - 1`` threads start,
-    and all of them are joined before this returns.  Threads calling into a
-    threaded OpenBLAS wait on each other, so OpenBLAS runs one thread per
-    call, in every thread of the process, until they are joined.  Each worker
-    runs under the caller's numpy error state and stops at its first failing
+    calling thread works too, so ``min(chunks, parallel.WORKERS) - 1``
+    threads start, and all of them are joined, under
+    ``parallel.one_blas_thread``, before this returns.  Each worker runs
+    under the caller's numpy error state and stops at its first failing
     chunk.  An interrupt (a ``BaseException`` that is no ``Exception``, such
     as ``KeyboardInterrupt``) is raised here first, and otherwise the
     exception of the first chunk that failed.
     """
     bounds = [(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
     results, errors = [None] * len(bounds), [None] * len(bounds)
-    workers, errstate = min(len(bounds), _WORKERS), np.geterr()
+    workers, errstate = min(len(bounds), parallel.WORKERS), np.geterr()
 
     def run(first: int):
         with np.errstate(**errstate):
@@ -264,18 +245,12 @@ def _chunked(n: int, work: Callable[[int, int], object]) -> list:
                     break  # the chunks this thread skips all come after this one
 
     threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    blas = _OPENBLAS[0]() if threads and _OPENBLAS else 1
-    if blas != 1:
-        _OPENBLAS[1](1)
-    try:
+    with parallel.one_blas_thread() if threads else contextlib.nullcontext():
         for t in threads:
             t.start()
         run(0)
         for t in threads:
             t.join()
-    finally:
-        if blas != 1:
-            _OPENBLAS[1](blas)
     failed = [err for err in errors if err is not None]
     if failed:
         raise next((err for err in failed if not isinstance(err, Exception)), failed[0])

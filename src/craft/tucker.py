@@ -5,7 +5,7 @@ then the core is the triple mode product with the transposed factors.  No
 alternating refinement is performed.  The three SVDs are independent and
 the solver holds the GIL, so above ``FORK_ABOVE_ROWS`` rows a forked child
 solves the largest unfolding while this process solves the other two (see
-:func:`hosvd` for when); the results are the same bytes either way.
+:func:`hosvd` and :mod:`craft.parallel`); the results are the same bytes.
 ``TuckerFactors`` freezes its arrays (read-only buffers inside a frozen
 dataclass) because an adapter applies its trained delta to exactly these
 factors for the rest of training.
@@ -13,6 +13,7 @@ factors for the rest of training.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import signal
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import ConvergenceError, RankError, ValidationError, check_int
 from .linalg import TruncatedSVD, truncated_svd
 from .tensor import check_array, check_dims, frobenius_norm, frozen_array, mode_n_product, unfold
@@ -37,11 +39,6 @@ if sys.platform == "linux":
     _prctl = ctypes.CDLL(None).prctl
     _prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     _prctl.restype = ctypes.c_int
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _check_orthonormal(u: np.ndarray, what: str) -> None:
@@ -139,7 +136,7 @@ def _child_mode(dims) -> int | None:
     """
     mode = int(np.argmax(dims)) + 1
     if (sys.platform == "linux" and dims[mode - 1] > FORK_ABOVE_ROWS
-            and threading.active_count() == 1 and usable_cpus() >= 2):
+            and threading.active_count() == 1 and parallel.WORKERS >= 2):
         return mode
     return None
 
@@ -210,10 +207,11 @@ class _Child:
 def hosvd(w, ranks: TuckerRanks) -> TuckerFactors:
     """Tucker-3 decomposition of ``w`` at the given multilinear rank.
 
-    On Linux with at least two usable CPUs and no other Python thread alive,
-    a forked child solves the unfolding with the most rows when that has
-    more than ``FORK_ABOVE_ROWS`` (mode 2 of an L x d x d stack) and sends
-    the result back through a pipe, while this process solves the other two.
+    On Linux with ``parallel.WORKERS >= 2`` and no other Python thread
+    alive, a forked child solves the unfolding with the most rows when that
+    has more than ``FORK_ABOVE_ROWS`` (mode 2 of an L x d x d stack) and
+    sends the result back through a pipe, while this process solves the
+    other two; OpenBLAS is held at one thread until the child is reaped.
     The child only saves time: if the fork fails, or the child dies or runs
     out of sweeps, this process solves that unfolding itself.  So factors,
     sweeps, residuals and errors are the same bytes as when all three run
@@ -224,23 +222,24 @@ def hosvd(w, ranks: TuckerRanks) -> TuckerFactors:
     ranks.validate_for(arr.shape)
     rs = ranks.as_tuple()
     child_mode = _child_mode(arr.shape)
-    child = None if child_mode is None else _Child(arr, child_mode, rs[child_mode - 1])
     svds = [None, None, None]
-    try:
-        for mode, r in enumerate(rs, start=1):
-            if mode == child_mode:
-                continue
-            try:
-                svds[mode - 1] = _solve(arr, mode, r)
-            except ConvergenceError:
-                if child and mode > child_mode:
-                    child.result()  # raises first if the lower child mode fails too
-                raise
-        if child:
-            svds[child_mode - 1] = child.result()
-    finally:
-        if child:
-            child.close()
+    with parallel.one_blas_thread() if child_mode else contextlib.nullcontext():
+        child = None if child_mode is None else _Child(arr, child_mode, rs[child_mode - 1])
+        try:
+            for mode, r in enumerate(rs, start=1):
+                if mode == child_mode:
+                    continue
+                try:
+                    svds[mode - 1] = _solve(arr, mode, r)
+                except ConvergenceError:
+                    if child and mode > child_mode:
+                        child.result()  # raises first if the lower child mode fails too
+                    raise
+            if child:
+                svds[child_mode - 1] = child.result()
+        finally:
+            if child:
+                child.close()
     u1, u2, u3 = (s.left_vectors for s in svds)
     core = expand(arr, u1.T, u2.T, u3.T)
     return TuckerFactors(core, u1, u2, u3, ranks,

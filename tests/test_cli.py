@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import craft
-from craft import toy
+from craft import parallel
 from craft.cli import main
 from craft.serialization import (
     read_tensor3,
@@ -305,7 +305,7 @@ DIVERGED = r"error: fine-tuning diverged: .+ \(step \d+\)\n"
 def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, monkeypatch, lines,
                                                 toy_lines):
     # two workers whatever the host; a warning escaping one would fail the call
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines + toy_lines)
     code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])

@@ -96,3 +96,13 @@ def test_craft_finetune_owns_the_toys_only_exception_handler():
             handlers.append((owner.get(node), sorted(map(ast.unparse, filter(None, caught)))))
     assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"]),
                         ("run", ["BaseException"])]
+
+
+def test_only_parallel_decides_how_work_runs_in_parallel():
+    # craft.parallel holds the one worker rule and the one BLAS thread hold,
+    # so no other module reads the CPU mask or OpenBLAS's thread count
+    package = Path(craft.__file__).parent
+    deciders = {path.name for path in package.glob("*.py")
+                if any(name in path.read_text(encoding="utf-8")
+                       for name in ("num_threads", "sched_getaffinity"))}
+    assert deciders == {"parallel.py"}

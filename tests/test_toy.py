@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from craft import toy
+from craft import parallel, toy
 from craft.cli import main
 from craft.errors import DivergenceError, ValidationError
 from craft.toy import (
@@ -179,7 +179,7 @@ def test_pretrain_builds_one_buffer_set(monkeypatch):
     pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=16, eval_size=40), eta=0.5,
              max_steps=10, target_acc=2.0)
     assert len(built) == 1
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     built.clear()
     pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=2 * CHUNK + 44, eval_size=3 * CHUNK),
              eta=0.5, max_steps=10, target_acc=2.0)
@@ -490,7 +490,7 @@ def test_chunks_run_on_separate_workers_in_order(monkeypatch):
     """Each chunk of ``CHUNK`` sequences (the last partial) runs once, the
     calling thread among the workers; results come back in chunk order and
     every worker thread is joined."""
-    monkeypatch.setattr(toy, "_WORKERS", 3)
+    monkeypatch.setattr(parallel, "WORKERS", 3)
     threads = threading.active_count()
     ran = []
 
@@ -512,7 +512,7 @@ def test_chunks_run_on_separate_workers_in_order(monkeypatch):
 def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
     """numpy's error state is per thread, so a worker would otherwise warn
     where its caller ignores or raises."""
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     with np.errstate(over="raise", invalid="ignore"):
         states = toy._chunked(3 * CHUNK, lambda start, stop: np.geterr())
         assert states == [np.geterr()] * 3
@@ -523,7 +523,7 @@ def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
 def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
     """Chunks 1 to 3 fail, chunk 2 on the calling thread itself; the caller
     raises chunk 1's exception, after every worker has been joined."""
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     threads = threading.active_count()
 
     def work(start, stop):
@@ -540,7 +540,7 @@ def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, wor
     """A KeyboardInterrupt in the calling thread's chunk 2 ends that thread's
     loop and is raised ahead of chunk 1's earlier error; with one worker,
     chunk 1's error already ended the loop and is raised."""
-    monkeypatch.setattr(toy, "_WORKERS", workers)
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     threads = threading.active_count()
     ran = []
 
@@ -559,24 +559,12 @@ def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, wor
     assert threading.active_count() == threads
 
 
-@pytest.fixture
-def blas_at_two():
-    """OpenBLAS's ``get`` with its thread count set to 2, put back afterwards."""
-    if toy._OPENBLAS is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    get, put = toy._OPENBLAS
-    before = get()
-    put(2)
-    yield get
-    put(before)
-
-
 @pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt],
                          ids=["returns", "exception", "interrupt"])
 def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_at_two, failure):
     """Every chunk on two workers sees one OpenBLAS thread, and the count
     reads two again after the call, also when a chunk raises."""
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     seen = []
 
     def work(start, stop):
@@ -594,7 +582,7 @@ def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_a
 def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas_at_two):
     """A KeyboardInterrupt that reaches the calling thread while it waits for
     a worker, after that worker is done, still restores the count."""
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     join = threading.Thread.join
 
     def interrupted(thread, timeout=None):
@@ -609,22 +597,29 @@ def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas
 
 def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
     """Where numpy's BLAS exports no OpenBLAS thread calls (MKL, BLIS,
-    Accelerate) the toy imports with one worker; forced to two workers,
-    its chunks run at whatever count BLAS had."""
-    probe = ("import ctypes\n"
+    Accelerate) the toy imports with one worker and ``hosvd`` forks no child
+    even above its row threshold; forced to two workers, the toy's chunks
+    run at whatever count BLAS had."""
+    probe = ("import ctypes, os\n"
+             "import numpy as np\n"
              "from numpy._core import _multiarray_umath\n"
              "cdll = ctypes.CDLL\n"
              "ctypes.CDLL = lambda name, *a, **kw: (\n"
              "    object() if name == _multiarray_umath.__file__ else cdll(name, *a, **kw))\n"
-             "from craft import toy\n"
-             "print(toy._OPENBLAS, toy._WORKERS)\n")
+             "from craft import parallel, toy, tucker\n"
+             "forks, fork = [], os.fork\n"
+             "os.fork = lambda: forks.append(1) or fork()\n"
+             "tucker.FORK_ABOVE_ROWS = 0\n"
+             "w = np.random.default_rng(18).standard_normal((2, 40, 40))\n"
+             "tucker.hosvd(w, tucker.TuckerRanks(1, 4, 4))\n"
+             "print(parallel.OPENBLAS, parallel.WORKERS, len(forks))\n")
     src = str(Path(toy.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1\n", "")
-    read = toy._OPENBLAS[0] if toy._OPENBLAS else lambda: None
-    monkeypatch.setattr(toy, "_OPENBLAS", None)
-    monkeypatch.setattr(toy, "_WORKERS", 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1 0\n", "")
+    read = parallel.OPENBLAS[0] if parallel.OPENBLAS else lambda: None
+    monkeypatch.setattr(parallel, "OPENBLAS", None)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     assert toy._chunked(3 * CHUNK, lambda start, stop: read()) == [read()] * 3
 
 
@@ -637,9 +632,9 @@ def test_chunk_workers_under_stress_match_one_worker(monkeypatch):
     rng = np.random.default_rng(6)
     tokens = rng.integers(0, cfg.vocab_size, (5 * CHUNK + 3, cfg.seq_len))
     labels = rng.integers(0, cfg.n_classes, len(tokens))
-    monkeypatch.setattr(toy, "_WORKERS", 1)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     loss, g = loss_and_grads(model, tokens, labels)
-    monkeypatch.setattr(toy, "_WORKERS", 8)
+    monkeypatch.setattr(parallel, "WORKERS", 8)
     buf = _Buffers(cfg, len(tokens), backward=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -674,10 +669,10 @@ def test_training_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, wor
     """Multi-chunk pretraining and fine-tuning give the same bytes on one
     worker as on the default count (and on three, which starts threads on
     any host), and no worker thread outlives a loop or a ``train-toy`` run."""
-    monkeypatch.setattr(toy, "_WORKERS", 1)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     serial = _train_multi_chunk()
     if workers is not None:
-        monkeypatch.setattr(toy, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
     else:
         monkeypatch.undo()
     model, tuned, losses = _train_multi_chunk()

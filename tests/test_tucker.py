@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from craft import linalg, tucker
+from craft import linalg, parallel, tucker
 from craft.errors import ConvergenceError, RankError, ValidationError
 from craft.tensor import frobenius_norm, unfold
 from craft.tucker import (
@@ -117,6 +117,20 @@ def test_hosvd_of_a_tiny_scaled_tensor_is_the_unscaled_one_scaled():
     assert tiny.convergence == ref.convergence
 
 
+@pytest.mark.parametrize("k", [-1000, -570, 520, 1000])
+def test_approximation_error_at_any_power_of_two_scale(k):
+    """Squared entries of ``w * 2**k`` vanish or overflow at these scales;
+    the errors must still be those of ``w``, the absolute one scaled."""
+    w = np.random.default_rng(11).standard_normal((4, 8, 8))
+    ranks = TuckerRanks(2, 4, 4)
+    absolute, relative = approximation_error(w, hosvd(w, ranks))
+    scaled = np.ldexp(w, k)
+    with np.errstate(all="raise"):
+        got = approximation_error(scaled, hosvd(scaled, ranks))
+    assert np.float64(got[1]).tobytes() == np.float64(relative).tobytes()
+    assert np.float64(got[0]).tobytes() == np.ldexp(absolute, k).tobytes()
+
+
 def test_hosvd_idempotent_on_reconstruction():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((5, 6, 7))
@@ -173,7 +187,7 @@ def forks(monkeypatch):
 def force_fork(monkeypatch, fork=True):
     """Make every ``hosvd`` solve its largest unfolding in a child, or none."""
     monkeypatch.setattr(tucker, "FORK_ABOVE_ROWS", 0 if fork else sys.maxsize)
-    monkeypatch.setattr(tucker, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
 
 
 def assert_same_factors(f, g):
@@ -263,13 +277,74 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch, forks
     assert_no_child_left()
 
 
+def test_forked_hosvd_solves_on_one_blas_thread_in_both_processes(monkeypatch, forks, blas_at_two):
+    """With OpenBLAS at two threads, this process solves its two modes at
+    one, and so does the child: a child that saw another count would give
+    nothing and leave its mode to this process.  The count reads two again
+    afterwards, and a serial ``hosvd`` solves at two."""
+    parent, solved = os.getpid(), []
+    real_solve, real_svd = tucker._solve, tucker.truncated_svd
+
+    def solve(arr, mode, r):
+        solved.append((mode, blas_at_two()))
+        return real_solve(arr, mode, r)
+
+    def svd(m, r):
+        if os.getpid() != parent and blas_at_two() != 1:
+            os._exit(1)
+        return real_svd(m, r)
+
+    monkeypatch.setattr(tucker, "_solve", solve)
+    monkeypatch.setattr(tucker, "truncated_svd", svd)
+    w = np.random.default_rng(13).standard_normal((4, 40, 40))
+    ranks = TuckerRanks(2, 8, 8)
+    force_fork(monkeypatch, False)
+    serial = hosvd(w, ranks)
+    assert solved == [(1, 2), (2, 2), (3, 2)]
+    solved.clear()
+    force_fork(monkeypatch)
+    assert_same_factors(hosvd(w, ranks), serial)
+    assert len(forks) == 1
+    assert solved == [(1, 1), (3, 1)]  # mode 2 came from the child
+    assert blas_at_two() == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [ConvergenceError, KeyboardInterrupt],
+                         ids=["convergence", "interrupt"])
+def test_blas_count_is_restored_when_forked_hosvd_raises(monkeypatch, forks, blas_at_two,
+                                                         failure):
+    """A ``ConvergenceError`` (the child's mode 2 and this process's mode 3
+    run out of sweeps) or a ``KeyboardInterrupt`` in this process's mode 3
+    leaves ``hosvd`` with the child reaped and the count at two again."""
+    real_solve = tucker._solve
+
+    def solve(arr, mode, r):
+        if mode == 3:
+            raise KeyboardInterrupt
+        return real_solve(arr, mode, r)
+
+    force_fork(monkeypatch)
+    if failure is ConvergenceError:
+        monkeypatch.setattr(linalg, "SWEEP_CAP_FACTOR", 0)
+        w, ranks = np.random.default_rng(11).standard_normal((1, 9, 9)), TuckerRanks(1, 2, 2)
+    else:
+        monkeypatch.setattr(tucker, "_solve", solve)
+        w, ranks = np.random.default_rng(14).standard_normal((4, 40, 40)), TuckerRanks(2, 8, 8)
+    with pytest.raises(failure):
+        hosvd(w, ranks)
+    assert len(forks) == 1
+    assert blas_at_two() == 2
+    assert_no_child_left()
+
+
 KILLED_PARENT = """
 import os, time
 import numpy as np
-from craft import tucker
+from craft import parallel, tucker
 
 tucker.FORK_ABOVE_ROWS = 0
-tucker.usable_cpus = lambda: 2
+parallel.WORKERS = 2
 # both processes sleep inside hosvd: the child in truncated_svd, this one in _solve
 tucker.truncated_svd = lambda m, r: time.sleep(60.0)
 tucker._solve = lambda arr, mode, r: time.sleep(60.0)
@@ -316,7 +391,7 @@ def test_a_killed_parent_takes_its_child_along():
 
 
 def test_hosvd_forks_only_above_the_row_threshold(monkeypatch, forks):
-    monkeypatch.setattr(tucker, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     rows = tucker.FORK_ABOVE_ROWS
     rng = np.random.default_rng(15)
     hosvd(rng.standard_normal((2, 3, rows)), TuckerRanks(1, 2, 2))
@@ -343,7 +418,7 @@ def test_hosvd_stays_serial_with_another_thread_alive(monkeypatch, forks):
 def test_hosvd_stays_serial_off_linux_or_on_one_cpu(monkeypatch, forks, platform, cpus):
     force_fork(monkeypatch)
     monkeypatch.setattr(sys, "platform", platform)
-    monkeypatch.setattr(tucker, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "WORKERS", cpus)
     hosvd(np.random.default_rng(17).standard_normal((2, 40, 40)), TuckerRanks(1, 4, 4))
     assert forks == []
 
