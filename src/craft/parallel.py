@@ -1,17 +1,31 @@
-"""The package's one parallelism policy: how many workers, at what BLAS count.
+"""The package's one parallelism policy: how many workers, at what BLAS count,
+and the one place a process is started.
 
 The toy's chunk threads and ``hosvd``'s forked child run only where
 ``WORKERS >= 2``: numpy's BLAS is OpenBLAS (MKL, BLIS and Accelerate builds
 stay serial) and two CPUs are usable.  While they run, both hold OpenBLAS at
 one thread per call (``one_blas_thread``), so they do not wait on each
 other's BLAS threads.  The count is process-wide: other threads get it too.
+``forked`` runs one function in a child process and brings back its pickled
+value; the child cannot outlive the caller.
 """
 
 import contextlib
 import ctypes
 import os
+import pickle
+import signal
+import sys
+import threading
 
 from numpy._core import _multiarray_umath
+
+if sys.platform == "linux":
+    # prctl(PR_SET_PDEATHSIG, SIGKILL): the kernel kills the child with its parent
+    _PR_SET_PDEATHSIG = 1
+    _prctl = ctypes.CDLL(None).prctl
+    _prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    _prctl.restype = ctypes.c_int
 
 
 def usable_cpus() -> int:
@@ -49,3 +63,66 @@ def one_blas_thread():
     finally:
         if blas != 1:
             OPENBLAS[1](blas)
+
+
+@contextlib.contextmanager
+def forked(work):
+    """Run ``work()`` in a forked child while the block runs.
+
+    Yields ``result``, which waits for the child and returns ``work()``'s
+    value, or ``None`` when the child gave nothing whole: the fork failed,
+    or the child raised, died or was cut off mid-write; the caller then does
+    the work itself.  A child runs only on Linux, with ``WORKERS >= 2`` and
+    no other Python thread alive (the child would inherit locks that thread
+    may hold); otherwise ``result`` is ``lambda: None`` and nothing else
+    happens.  OpenBLAS is held at one thread from before the fork until the
+    child is reaped.  The child dies with this process (``PR_SET_PDEATHSIG``,
+    or at once if this process died first), and leaving the block kills it
+    unless ``result`` read it to its end, then reaps it.
+    """
+    if sys.platform != "linux" or WORKERS < 2 or threading.active_count() > 1:
+        yield lambda: None
+        return
+    with one_blas_thread():
+        parent, pid, fds, done = os.getpid(), None, [], False
+        try:
+            try:
+                fds = list(os.pipe())
+                pid = os.fork()
+            except OSError:
+                pass  # no child: result() gives None
+            if pid == 0:  # the child writes work's value or nothing, and leaves
+                status = 1
+                try:
+                    os.close(fds[0])
+                    if _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) == 0 and os.getppid() == parent:
+                        with open(fds[1], "wb") as out:
+                            out.write(pickle.dumps(work()))
+                        status = 0
+                finally:
+                    os._exit(status)
+            if pid:
+                os.close(fds.pop())  # the child's end
+
+            def result():
+                nonlocal done
+                if not pid:
+                    return None
+                with open(fds[0], "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                done = True  # at EOF the child has closed its end and is leaving
+                try:
+                    return pickle.loads(data)
+                except (EOFError, pickle.UnpicklingError):
+                    return None
+
+            yield result
+        finally:
+            for fd in fds:
+                os.close(fd)
+            if pid:
+                if not done:
+                    with contextlib.suppress(ProcessLookupError):  # already reaped
+                        os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):  # SIGCHLD is ignored
+                    os.waitpid(pid, 0)

@@ -4,8 +4,9 @@ The decomposition is single-pass: one truncated SVD per mode-n unfolding,
 then the core is the triple mode product with the transposed factors.  No
 alternating refinement is performed.  The three SVDs are independent and
 the solver holds the GIL, so above ``FORK_ABOVE_ROWS`` rows a forked child
-solves the largest unfolding while this process solves the other two (see
-:func:`hosvd` and :mod:`craft.parallel`); the results are the same bytes.
+(:func:`craft.parallel.forked`) solves the mode-3 unfolding while this
+process solves modes 1 and 2 (see :func:`hosvd`); the results are the same
+bytes.
 ``TuckerFactors`` freezes its arrays (read-only buffers inside a frozen
 dataclass) because an adapter applies its trained delta to exactly these
 factors for the rest of training.
@@ -14,11 +15,6 @@ factors for the rest of training.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import os
-import signal
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,16 +25,10 @@ from .linalg import TruncatedSVD, truncated_svd
 from .tensor import check_array, check_dims, frobenius_norm, frozen_array, mode_n_product, unfold
 
 ORTHONORMALITY_TOL = 1e-10
-# a child solves an unfolding only above this many rows.  On a 2-CPU host,
-# hosvd with a child took 16.4 ms against 13.6 ms without at 4x32x32, and
-# 20.9 ms against 23.3 ms at 4x40x40
+# a child solves the mode-3 unfolding only above this many rows.  On a 2-CPU
+# host, hosvd with a child took 16.4 ms against 13.6 ms without at 4x32x32,
+# and 20.9 ms against 23.3 ms at 4x40x40
 FORK_ABOVE_ROWS = 32
-if sys.platform == "linux":
-    # prctl(PR_SET_PDEATHSIG, SIGKILL): the kernel kills the child with its parent
-    _PR_SET_PDEATHSIG = 1
-    _prctl = ctypes.CDLL(None).prctl
-    _prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    _prctl.restype = ctypes.c_int
 
 
 def _check_orthonormal(u: np.ndarray, what: str) -> None:
@@ -127,119 +117,27 @@ def _solve(arr: np.ndarray, mode: int, r: int) -> TruncatedSVD:
         ) from err
 
 
-def _child_mode(dims) -> int | None:
-    """The mode a forked child solves for a tensor of ``dims``, else ``None``.
-
-    The unfolding with the most rows (the lower mode on a tie), when it has
-    more than ``FORK_ABOVE_ROWS``.  A process with another thread is never
-    forked: the child would inherit locks that thread may hold.
-    """
-    mode = int(np.argmax(dims)) + 1
-    if (sys.platform == "linux" and dims[mode - 1] > FORK_ABOVE_ROWS
-            and threading.active_count() == 1 and parallel.WORKERS >= 2):
-        return mode
-    return None
-
-
-class _Child:
-    """A forked child that solves the mode-``mode`` unfolding of ``arr``.
-
-    It writes sweeps, residual, vectors and values to a pipe as float64, and
-    nothing unless it solved the unfolding; it always leaves through
-    ``os._exit``.  It dies with this process (``PR_SET_PDEATHSIG``), and
-    quits at once if this process died before that took hold.
-    """
-
-    def __init__(self, arr: np.ndarray, mode: int, r: int):
-        self.arr, self.mode, self.r = arr, mode, r
-        self.pid = self.read_fd = None
-        self.done = False  # the pipe was read to its end: the child has left
-        parent = os.getpid()
-        try:
-            self.read_fd, write_fd = os.pipe()
-            self.pid = os.fork()
-        except OSError:
-            pass  # result() solves the unfolding here
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(self.read_fd)
-                if _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) == 0 and os.getppid() == parent:
-                    svd = truncated_svd(unfold(arr, mode), r)
-                    with open(write_fd, "wb") as out:
-                        out.write(np.array([svd.sweeps, svd.residual]))
-                        out.write(svd.left_vectors)
-                        out.write(svd.singular_values)
-                    status = 0
-            finally:
-                os._exit(status)
-        if self.read_fd is not None:
-            os.close(write_fd)
-
-    def result(self) -> TruncatedSVD:
-        """The child's result; this process solves the unfolding itself if
-        the fork failed or the child wrote less than a whole result."""
-        if self.pid is not None:
-            rows, r = self.arr.shape[self.mode - 1], self.r
-            size = 8 * (2 + r * (rows + 1))
-            with open(self.read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read(size)
-            self.done = True
-            if len(data) == size:
-                head, left, values = np.split(np.frombuffer(data), [2, 2 + rows * r])
-                return TruncatedSVD(left.reshape(rows, r), values, int(head[0]), float(head[1]))
-        return _solve(self.arr, self.mode, self.r)
-
-    def close(self) -> None:
-        """Close the pipe; kill the child unless its result was read, and reap it."""
-        if self.read_fd is not None:
-            os.close(self.read_fd)
-        if self.pid is None:
-            return
-        if not self.done:
-            os.kill(self.pid, signal.SIGKILL)
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:
-            pass  # SIGCHLD is ignored, so the kernel reaped it
-
-
 def hosvd(w, ranks: TuckerRanks) -> TuckerFactors:
     """Tucker-3 decomposition of ``w`` at the given multilinear rank.
 
-    On Linux with ``parallel.WORKERS >= 2`` and no other Python thread
-    alive, a forked child solves the unfolding with the most rows when that
-    has more than ``FORK_ABOVE_ROWS`` (mode 2 of an L x d x d stack) and
-    sends the result back through a pipe, while this process solves the
-    other two; OpenBLAS is held at one thread until the child is reaped.
-    The child only saves time: if the fork fails, or the child dies or runs
-    out of sweeps, this process solves that unfolding itself.  So factors,
-    sweeps, residuals and errors are the same bytes as when all three run
-    here, a ``ConvergenceError`` naming the lowest failing mode.  No child
-    outlives the call: an exception here kills and reaps it.
+    When the mode-3 unfolding has more than ``FORK_ABOVE_ROWS`` rows, a
+    child (:func:`craft.parallel.forked`, which decides whether one may run)
+    solves it while this process solves modes 1 and 2.  Mode 3 is the
+    largest, or tied with mode 2, in an ``(L, d_out, d_in)`` stack of
+    square or GQA K/V projections; only a tensor whose mode 3 is not its
+    largest loses balance.  The child only saves time: if it gives nothing
+    (no fork, or it died or ran out of sweeps), this process solves mode 3
+    itself.  So factors, sweeps, residuals and errors are the same bytes
+    as when all three run here, and the modes are solved in order, so a
+    ``ConvergenceError`` names the lowest failing mode.
     """
     arr = check_array(w, "w", (None, None, None))
     ranks.validate_for(arr.shape)
-    rs = ranks.as_tuple()
-    child_mode = _child_mode(arr.shape)
-    svds = [None, None, None]
-    with parallel.one_blas_thread() if child_mode else contextlib.nullcontext():
-        child = None if child_mode is None else _Child(arr, child_mode, rs[child_mode - 1])
-        try:
-            for mode, r in enumerate(rs, start=1):
-                if mode == child_mode:
-                    continue
-                try:
-                    svds[mode - 1] = _solve(arr, mode, r)
-                except ConvergenceError:
-                    if child and mode > child_mode:
-                        child.result()  # raises first if the lower child mode fails too
-                    raise
-            if child:
-                svds[child_mode - 1] = child.result()
-        finally:
-            if child:
-                child.close()
+    r1, r2, r3 = ranks.as_tuple()
+    child = (parallel.forked(lambda: truncated_svd(unfold(arr, 3), r3))
+             if arr.shape[2] > FORK_ABOVE_ROWS else contextlib.nullcontext(lambda: None))
+    with child as result:
+        svds = (_solve(arr, 1, r1), _solve(arr, 2, r2), result() or _solve(arr, 3, r3))
     u1, u2, u3 = (s.left_vectors for s in svds)
     core = expand(arr, u1.T, u2.T, u3.T)
     return TuckerFactors(core, u1, u2, u3, ranks,

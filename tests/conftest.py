@@ -16,6 +16,22 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process ({'still running' if pid == 0 else f'pid {pid}'})")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Records every ``os.fork`` in the test; the parent sees the child's pid."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def blas_threads_restored():
     """Fail the test that leaves OpenBLAS's thread count other than it found it."""

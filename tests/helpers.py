@@ -1,6 +1,20 @@
 """Shared test constructions."""
 
+import os
+import sys
+
 import numpy as np
+import pytest
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """The file descriptors this process has open (``/dev/fd`` off Linux)."""
+    return sorted(os.listdir("/proc/self/fd" if sys.platform.startswith("linux") else "/dev/fd"))
 
 
 def radius_construction(d_in=8, d_out=10, r_q=10.0, r_kv=1.0, seed=0):

@@ -98,11 +98,25 @@ def test_craft_finetune_owns_the_toys_only_exception_handler():
                         ("run", ["BaseException"])]
 
 
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
 def test_only_parallel_decides_how_work_runs_in_parallel():
-    # craft.parallel holds the one worker rule and the one BLAS thread hold,
-    # so no other module reads the CPU mask or OpenBLAS's thread count
+    # craft.parallel holds the one worker rule, the one BLAS thread hold and
+    # the one place a process starts, so no other module reads the CPU mask
+    # or OpenBLAS's thread count, or names fork, waitpid or prctl
     package = Path(craft.__file__).parent
-    deciders = {path.name for path in package.glob("*.py")
-                if any(name in path.read_text(encoding="utf-8")
-                       for name in ("num_threads", "sched_getaffinity"))}
+    deciders = set()
+    for path in package.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if (any(name in text for name in ("num_threads", "sched_getaffinity"))
+                or {"fork", "waitpid", "prctl"} & set(_identifiers(ast.parse(text)))):
+            deciders.add(path.name)
     assert deciders == {"parallel.py"}

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -20,6 +22,7 @@ from craft.tucker import (
     hosvd,
     reconstruct,
 )
+from helpers import assert_no_child_left, open_fds
 
 
 def discarded_spectrum_bound(w, ranks):
@@ -168,24 +171,8 @@ def test_approximation_error_zero_tensor():
     assert absolute == 0.0 and relative == 0.0
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Records every ``os.fork`` in the test; the parent sees the child's pid."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def force_fork(monkeypatch, fork=True):
-    """Make every ``hosvd`` solve its largest unfolding in a child, or none."""
+    """Make every ``hosvd`` solve its mode-3 unfolding in a child, or none."""
     monkeypatch.setattr(tucker, "FORK_ABOVE_ROWS", 0 if fork else sys.maxsize)
     monkeypatch.setattr(parallel, "WORKERS", 2)
 
@@ -195,11 +182,6 @@ def assert_same_factors(f, g):
         a, b = getattr(f, name), getattr(g, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert f.convergence == g.convergence
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("dims,ranks", [((12, 64, 64), (4, 16, 16)),
@@ -237,7 +219,9 @@ def test_hosvd_solves_the_child_mode_itself_when_the_child_gives_nothing(monkeyp
     serial = hosvd(w, ranks)
     force_fork(monkeypatch)
     monkeypatch.setattr(os, "fork", fork)
+    fds = open_fds()
     assert_same_factors(hosvd(w, ranks), serial)
+    assert open_fds() == fds  # no pipe end left open
     assert_no_child_left()
 
 
@@ -246,8 +230,8 @@ def test_hosvd_solves_the_child_mode_itself_when_the_child_gives_nothing(monkeyp
 def test_hosvd_names_the_mode_whose_svd_ran_out_of_sweeps(monkeypatch, forks, dims, fork):
     # the first sweep always runs, so a factor of 0 leaves a budget of one;
     # the single-row mode-1 unfolding converges within it, modes 2 and 3 do
-    # not.  A child solves mode 3 of (1, 8, 9) and mode 2 of (1, 9, 9), so
-    # the lowest failing mode must be named whichever process found it.
+    # not.  With a fork this process finds mode 2 failing while the child's
+    # mode 3 fails too, and mode 2 must be named, as serially.
     monkeypatch.setattr(linalg, "SWEEP_CAP_FACTOR", 0)
     force_fork(monkeypatch, fork)
     w = np.random.default_rng(11).standard_normal(dims)
@@ -269,11 +253,12 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch, forks
     # its own modes through _solve and is interrupted in the first
     monkeypatch.setattr(tucker, "truncated_svd", lambda m, r: time.sleep(60.0))
     monkeypatch.setattr(tucker, "_solve", interrupted)
-    start = time.monotonic()
+    fds, start = open_fds(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         hosvd(np.random.default_rng(14).standard_normal((4, 40, 40)), TuckerRanks(2, 8, 8))
     assert time.monotonic() - start < 30.0
     assert len(forks) == 1
+    assert open_fds() == fds
     assert_no_child_left()
 
 
@@ -305,7 +290,7 @@ def test_forked_hosvd_solves_on_one_blas_thread_in_both_processes(monkeypatch, f
     force_fork(monkeypatch)
     assert_same_factors(hosvd(w, ranks), serial)
     assert len(forks) == 1
-    assert solved == [(1, 1), (3, 1)]  # mode 2 came from the child
+    assert solved == [(1, 1), (2, 1)]  # mode 3 came from the child
     assert blas_at_two() == 2
     assert_no_child_left()
 
@@ -314,13 +299,13 @@ def test_forked_hosvd_solves_on_one_blas_thread_in_both_processes(monkeypatch, f
                          ids=["convergence", "interrupt"])
 def test_blas_count_is_restored_when_forked_hosvd_raises(monkeypatch, forks, blas_at_two,
                                                          failure):
-    """A ``ConvergenceError`` (the child's mode 2 and this process's mode 3
-    run out of sweeps) or a ``KeyboardInterrupt`` in this process's mode 3
+    """A ``ConvergenceError`` (this process's mode 2 and the child's mode 3
+    run out of sweeps) or a ``KeyboardInterrupt`` in this process's mode 2
     leaves ``hosvd`` with the child reaped and the count at two again."""
     real_solve = tucker._solve
 
     def solve(arr, mode, r):
-        if mode == 3:
+        if mode == 2:
             raise KeyboardInterrupt
         return real_solve(arr, mode, r)
 
@@ -335,6 +320,55 @@ def test_blas_count_is_restored_when_forked_hosvd_raises(monkeypatch, forks, bla
         hosvd(w, ranks)
     assert len(forks) == 1
     assert blas_at_two() == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cut", [lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                         ids=["empty", "one-byte", "half", "all-but-one"])
+def test_a_cut_pickle_makes_hosvd_solve_mode_3_itself(monkeypatch, forks, cut):
+    """A child whose pickled result reaches the pipe cut short gives nothing,
+    and this process solves mode 3 to the serial bytes."""
+    w = np.random.default_rng(13).standard_normal((4, 40, 40))
+    ranks = TuckerRanks(2, 8, 8)
+    force_fork(monkeypatch, False)
+    serial = hosvd(w, ranks)
+    real_dumps, real_solve, solved = pickle.dumps, tucker._solve, []
+
+    def dumps(obj):
+        data = real_dumps(obj)
+        return data[:cut(len(data))]
+
+    def solve(arr, mode, r):
+        solved.append(mode)
+        return real_solve(arr, mode, r)
+
+    force_fork(monkeypatch)
+    monkeypatch.setattr(parallel.pickle, "dumps", dumps)
+    monkeypatch.setattr(tucker, "_solve", solve)
+    assert_same_factors(hosvd(w, ranks), serial)
+    assert len(forks) == 1
+    assert solved == [1, 2, 3]
+    assert_no_child_left()
+
+
+def test_an_ignored_sigchld_leaves_hosvd_its_own_error(monkeypatch, forks):
+    """With ``SIGCHLD`` ignored the kernel reaps the child as soon as it has
+    sent mode 3, so the kill after this process's own error finds no
+    process; ``hosvd`` still raises that error, naming mode 1."""
+    def solve(arr, mode, r):
+        time.sleep(0.5)  # the child solves mode 3, exits and is reaped meanwhile
+        raise ConvergenceError("SVD of unfolding failed to converge", 1.0, mode=mode)
+
+    force_fork(monkeypatch)
+    monkeypatch.setattr(tucker, "_solve", solve)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with pytest.raises(ConvergenceError) as info:
+            hosvd(np.random.default_rng(14).standard_normal((4, 40, 40)), TuckerRanks(2, 8, 8))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert info.value.mode == 1
+    assert len(forks) == 1
     assert_no_child_left()
 
 
