@@ -22,7 +22,9 @@ The backward pass is hand-derived for this fixed architecture and checked
 against central finite differences in the test suite.  Each training loop
 builds one set of activation buffers and writes every step into it, so steps
 allocate only small per-step arrays; the loop's evaluations run through the
-same set in passes of its batch.
+same set in passes of its batch.  The backward scratch holds only live
+values.  Forward-only calls run in passes of ``parallel.WORKERS * CHUNK``
+sequences, so their memory does not grow with the input.
 
 Every pass splits its sequences into chunks of ``CHUNK`` at fixed
 boundaries and runs the forward and backward of each chunk on a worker
@@ -265,9 +267,11 @@ class _Buffers:
     Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
     ``q``, ``k``, ``v`` and ``attn`` hold layer ``l`` in slot ``l % depth``.
     ``ctx`` holds one layer: the backward pass recomputes it from ``attn``
-    and ``v`` where it needs it.  Training needs every layer and the backward
-    scratch; a forward-only pass keeps depth 1, so ``x`` alternates between
-    two rows.
+    and ``v`` where it needs it, and then uses it as its product scratch.
+    Training needs every layer and the backward scratch: ``dx``, ``grad``
+    (which holds ``d_ctx``, then ``d_q``, then ``d_k``), ``d_v`` and two
+    score-sized arrays.  A forward-only pass keeps depth 1, so ``x``
+    alternates between two rows.
     """
 
     LAYERED = ("x", "q", "k", "v", "attn")
@@ -281,8 +285,7 @@ class _Buffers:
         self.attn = np.empty((depth, *scores))
         self.ctx = np.empty(acts)
         if backward:
-            self.dx, self.tmp = np.empty(acts), np.empty(acts)
-            self.d_ctx, self.d_v, self.d_q, self.d_k = (np.empty(acts) for _ in range(4))
+            self.dx, self.grad, self.d_v = (np.empty(acts) for _ in range(3))
             self.d_attn, self.tmp_attn = np.empty(scores), np.empty(scores)
 
     def rows(self, start: int, stop: int) -> "_Buffers":
@@ -329,11 +332,20 @@ def _forward_rows(model: ToyModel, tok: np.ndarray, buf: _Buffers,
     return buf.x[n_layers % n_x].mean(axis=1)
 
 
+def _pooled(model: ToyModel, tok: np.ndarray, buf: _Buffers | None) -> np.ndarray:
+    """Pooled features of validated ``tok``, run through ``buf`` in passes of
+    its batch; ``None`` builds forward-only buffers for one pass of
+    ``parallel.WORKERS * CHUNK`` sequences, a whole number of chunks."""
+    if buf is None:
+        buf = _Buffers(model.cfg, min(len(tok), parallel.WORKERS * CHUNK), backward=False)
+    qv = model.effective_qv()
+    return np.concatenate([_forward(model, tok[start:start + buf.batch], buf, qv)
+                           for start in range(0, len(tok), buf.batch)])
+
+
 def forward(model: ToyModel, tokens) -> np.ndarray:
     """Logits ``(batch, n_classes)``."""
-    tok = _check_tokens(model, tokens)
-    buf = _Buffers(model.cfg, len(tok), backward=False)
-    return _forward(model, tok, buf, model.effective_qv()) @ model.head_w + model.head_b
+    return _pooled(model, _check_tokens(model, tokens), None) @ model.head_w + model.head_b
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -382,10 +394,9 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
     g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
     if "embeddings" in groups:
         # each cell sums its token's rows in sequence order from +0.0, as np.add.at does
-        d = model.cfg.d_model
-        cells = (tok[..., None] * d + np.arange(d)).ravel()
-        g["embeddings"] = np.bincount(cells, weights=buf.dx[:len(tok)].ravel(),
-                                      minlength=model.cfg.vocab_size * d).reshape(-1, d)
+        dx, vocab = buf.dx[:len(tok)].reshape(-1, model.cfg.d_model), model.cfg.vocab_size
+        g["embeddings"] = np.stack([np.bincount(tok.ravel(), weights=column, minlength=vocab)
+                                    for column in dx.T], axis=1)
     return loss, g
 
 
@@ -396,14 +407,17 @@ def _backward(model: ToyModel, buf: _Buffers, d_pooled: np.ndarray,
     ``buf`` holds the chunk's forward pass and ``d_pooled`` the loss gradient
     of its pooled rows divided by ``seq_len``.  With ``embeddings`` in
     ``groups``, ``buf.dx`` is left holding the gradient of each embedded token.
+    ``buf.grad`` holds each layer's ``d_ctx``, then ``d_q``, then ``d_k``,
+    and ``buf.ctx``, once ``wo``'s gradient has read it, each product added
+    to ``dx``, in the order q, k, v.
     """
     d = model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = qv
     g = {name: np.empty_like(getattr(model, name)) for name in groups if name != "embeddings"}
     buf.dx[:] = d_pooled[:, None, :]
-    dx, tmp = buf.dx.reshape(-1, d), buf.tmp.reshape(-1, d)
-    d_ctx, d_q, d_k, d_v = (a.reshape(-1, d) for a in (buf.d_ctx, buf.d_q, buf.d_k, buf.d_v))
+    dx, product = buf.dx.reshape(-1, d), buf.ctx.reshape(-1, d)
+    grad, d_v = buf.grad.reshape(-1, d), buf.d_v.reshape(-1, d)
 
     for layer in range(model.cfg.n_layers - 1, -1, -1):
         x, q, k, v = buf.x[layer].reshape(-1, d), buf.q[layer], buf.k[layer], buf.v[layer]
@@ -411,44 +425,40 @@ def _backward(model: ToyModel, buf: _Buffers, d_pooled: np.ndarray,
         if "wo" in g:
             # ctx holds the last layer the forward wrote; recompute this one's
             np.matmul(attn, v, out=buf.ctx)
-            np.matmul(dx.T, buf.ctx.reshape(-1, d), out=g["wo"][layer])
-        np.matmul(dx, model.wo[layer], out=d_ctx)
-        d_scores = np.matmul(buf.d_ctx, v.swapaxes(1, 2), out=buf.d_attn)
-        np.matmul(attn.swapaxes(1, 2), buf.d_ctx, out=buf.d_v)
+            np.matmul(dx.T, product, out=g["wo"][layer])
+        np.matmul(dx, model.wo[layer], out=grad)  # d_ctx
+        d_scores = np.matmul(buf.grad, v.swapaxes(1, 2), out=buf.d_attn)
+        np.matmul(attn.swapaxes(1, 2), buf.grad, out=buf.d_v)
         # softmax rows: dS = P * (dP - sum(dP * P)), overwriting dP
         d_scores -= np.multiply(d_scores, attn, out=buf.tmp_attn).sum(axis=-1, keepdims=True)
         d_scores *= attn
         d_scores *= inv_sqrt_d
-        np.matmul(d_scores, k, out=buf.d_q)
+        np.matmul(d_scores, k, out=buf.grad)  # d_q
         if "wq" in g:
-            np.matmul(d_q.T, x, out=g["wq"][layer])
+            np.matmul(grad.T, x, out=g["wq"][layer])
         if "wv" in g:
             np.matmul(d_v.T, x, out=g["wv"][layer])
         if layer == 0 and "embeddings" not in groups:
             break  # below layer 0, dx would only reach the frozen embeddings
-        np.matmul(d_scores.swapaxes(1, 2), q, out=buf.d_k)
+        dx += np.matmul(grad, wq_eff[layer], out=product)
+        np.matmul(d_scores.swapaxes(1, 2), q, out=buf.grad)  # d_k
         if "wk" in g:
-            np.matmul(d_k.T, x, out=g["wk"][layer])
-        dx += np.matmul(d_q, wq_eff[layer], out=tmp)
-        dx += np.matmul(d_k, model.wk[layer], out=tmp)
-        dx += np.matmul(d_v, wv_eff[layer], out=tmp)
+            np.matmul(grad.T, x, out=g["wk"][layer])
+        dx += np.matmul(grad, model.wk[layer], out=product)
+        dx += np.matmul(d_v, wv_eff[layer], out=product)
     return g
 
 
 def evaluate(model: ToyModel, tokens, labels) -> float:
-    tok, labels = _check_batch(model, tokens, labels)
-    return _evaluate(model, tok, labels, _Buffers(model.cfg, len(tok), backward=False))
+    return _evaluate(model, *_check_batch(model, tokens, labels), None)
 
 
-def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffers) -> float:
-    """Accuracy on validated inputs, run through ``buf`` in passes of its batch.
+def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffers | None) -> float:
+    """Accuracy on validated inputs, run through ``buf`` as :func:`_pooled` does.
 
     The head is applied once, to every pooled row.
     """
-    qv = model.effective_qv()
-    pooled = np.concatenate([_forward(model, tok[start:start + buf.batch], buf, qv)
-                             for start in range(0, len(tok), buf.batch)])
-    preds = np.argmax(pooled @ model.head_w + model.head_b, axis=1)
+    preds = np.argmax(_pooled(model, tok, buf) @ model.head_w + model.head_b, axis=1)
     return float(np.mean(preds == labels))
 
 
@@ -591,8 +601,7 @@ def head_only_finetune(
     steps = check_int(steps, "steps", low=0)
     tuned = model.clone()
     tokens, labels = _check_batch(tuned, tokens, labels)
-    buf = _Buffers(tuned.cfg, len(tokens), backward=False)
-    pooled = _forward(tuned, tokens, buf, tuned.effective_qv())
+    pooled = _pooled(tuned, tokens, None)
     losses = []
     for step in range(steps):
         loss, dlogits = cross_entropy(pooled @ tuned.head_w + tuned.head_b, labels)

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ def assert_no_child_left():
 def open_fds():
     """The file descriptors this process has open (``/dev/fd`` off Linux)."""
     return sorted(os.listdir("/proc/self/fd" if sys.platform.startswith("linux") else "/dev/fd"))
+
+
+def traced_peak(fn):
+    """The ``tracemalloc`` peak, in bytes, of calling ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def radius_construction(d_in=8, d_out=10, r_q=10.0, r_kv=1.0, seed=0):

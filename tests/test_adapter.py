@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from craft.adapter import (
 from craft.errors import DivergenceError, ValidationError
 from craft.tensor import frobenius_norm, stack_layers
 from craft.tucker import TuckerRanks, expand, reconstruct
+from helpers import traced_peak
 
 
 def random_adapter(rng, dims=(3, 6, 6), ranks=(2, 3, 3), epsilon=0.01, sigma=0.02):
@@ -190,14 +190,8 @@ def test_extract_layer_rejects_out_of_range(layer):
 def test_extract_layer_does_not_build_the_full_tensor():
     rng = np.random.default_rng(21)
     a, w = random_adapter(rng, dims=(32, 24, 24), ranks=(2, 4, 4))
-    tracemalloc.start()
-    try:
-        layer = extract_layer(a, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert layer.shape == (24, 24)
-    assert peak < w.nbytes // 4
+    assert extract_layer(a, 7).shape == (24, 24)
+    assert traced_peak(lambda: extract_layer(a, 7)) < w.nbytes // 4
 
 
 @st.composite

@@ -7,6 +7,9 @@ whatever the queries and keys, so the ``wq`` and ``wk`` gradients are zero in
 exact arithmetic and hold only rounding noise; those two groups are then held
 to 1e-12 of the largest gradient entry instead. The head-only baseline changed no arithmetic, only where the
 pooled features come from, so it must match its reference bit for bit.
+The backward pass shares its scratch arrays between values whose lifetimes
+do not overlap; that changed no arithmetic either, so every gradient must
+equal the unaliased step in toy_reference bit for bit.
 
 Only the groups that train are returned: all seven in full-train mode, and
 ``head_w``, ``head_b`` and the stack of each adapted projection in craft-adapt
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from craft import parallel
 from craft.toy import (
     CHUNK,
     PROJECTIONS,
@@ -26,6 +30,7 @@ from craft.toy import (
     ToyModel,
     _Buffers,
     _forward,
+    _loss_and_grads,
     build_adapters,
     _evaluate,
     craft_finetune,
@@ -37,11 +42,13 @@ from craft.toy import (
     pretrain,
 )
 from craft.tucker import TuckerRanks
+from helpers import traced_peak
 from toy_reference import (
     reference_craft_finetune,
     reference_head_only_finetune,
     reference_loss_and_grads,
     reference_pretrain,
+    unaliased_loss_and_grads,
 )
 
 REL_TOL = 1e-12
@@ -137,6 +144,89 @@ def test_loss_and_grads_match_reference_on_random_configs(
     tokens = rng.integers(0, vocab_size, (batch, seq_len))
     labels = rng.integers(0, n_classes, batch)
     assert_matches_reference(model, tokens, labels)
+
+
+@given(
+    n_layers=st.integers(1, 3),
+    half_d=st.integers(1, 4),
+    vocab_size=st.integers(2, 8),
+    seq_len=st.integers(1, 6),
+    n_classes=st.integers(2, 3),
+    batch=st.integers(1, 2 * CHUNK + 8),
+    seed=st.integers(0, 2**32 - 1),
+    projections=st.sampled_from([None, ("Q", "V"), ("Q",), ("V",)]),
+)
+@settings(max_examples=25, deadline=None)
+def test_loss_and_grads_equal_the_unaliased_step_bitwise(
+        n_layers, half_d, vocab_size, seq_len, n_classes, batch, seed, projections):
+    cfg = ToyConfig(n_layers=n_layers, d_model=2 * half_d, vocab_size=vocab_size,
+                    seq_len=seq_len, n_classes=n_classes)
+    model = random_model(cfg, seed) if projections is None else random_model(
+        cfg, seed, TuckerRanks(1, half_d, half_d), projections)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, vocab_size, (batch, seq_len))
+    labels = rng.integers(0, n_classes, batch)
+    loss, g = loss_and_grads(model, tokens, labels)
+    ref_loss, ref_g = unaliased_loss_and_grads(model, tokens, labels)
+    assert loss == ref_loss
+    assert set(g) == set(ref_g)
+    for name in g:
+        assert g[name].tobytes() == ref_g[name].tobytes(), name
+
+
+@given(
+    vocab_size=st.integers(2, 4),
+    seq_len=st.integers(2, 6),
+    batch=st.integers(3, CHUNK + 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_embedding_gradient_is_add_at_over_dx_bitwise(vocab_size, seq_len, batch, seed):
+    """Every token repeats (more positions than vocabulary), so each cell
+    sums several rows of ``dx``, in sequence order from +0.0."""
+    cfg = ToyConfig(n_layers=2, d_model=4, vocab_size=vocab_size, seq_len=seq_len)
+    model = random_model(cfg, seed)
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, vocab_size, (batch, seq_len))
+    buf = _Buffers(cfg, batch, backward=True)
+    _, g = _loss_and_grads(model, tokens, rng.integers(0, 2, batch), buf)
+    ref = np.zeros_like(model.embeddings)
+    np.add.at(ref, tokens, buf.dx)
+    assert g["embeddings"].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+def test_training_step_allocates_less_than_one_activation_array(craft_adapt):
+    """With its buffers built, a step over two chunks allocates only
+    per-sequence rows, weight-sized gradients, numpy's fixed-size ufunc
+    buffers and one embedding column at a time: less than one
+    ``(batch, seq_len, d)`` array."""
+    cfg = ToyConfig(n_layers=2, seed=6)
+    model = random_model(cfg, seed=6, ranks=TuckerRanks(2, 8, 8) if craft_adapt else None)
+    tokens, labels = make_dataset(SyntheticTask(seed=6, train_size=CHUNK + 72), cfg, "train")
+    buf = _Buffers(cfg, len(tokens), backward=True)
+    _loss_and_grads(model, tokens, labels, buf)
+    peak = traced_peak(lambda: _loss_and_grads(model, tokens, labels, buf))
+    assert peak < buf.dx.nbytes
+
+
+@pytest.mark.parametrize("call", ["forward", "evaluate", "head_only_finetune"])
+def test_forward_only_calls_keep_one_pass_of_buffers(call):
+    """On four passes of ``parallel.WORKERS * CHUNK`` sequences, the calls
+    that run only the forward pass hold one pass of buffers plus
+    per-sequence outputs: well under two passes' worth."""
+    cfg = ToyConfig(n_layers=1)
+    model = random_model(cfg, seed=8)
+    per_pass = parallel.WORKERS * CHUNK
+    rng = np.random.default_rng(8)
+    tokens = rng.integers(0, cfg.vocab_size, (4 * per_pass, cfg.seq_len))
+    labels = rng.integers(0, cfg.n_classes, len(tokens))
+    pass_bytes = sum(a.nbytes for a in vars(_Buffers(cfg, per_pass, backward=False)).values()
+                     if isinstance(a, np.ndarray))
+    run = {"forward": lambda: forward(model, tokens),
+           "evaluate": lambda: evaluate(model, tokens, labels),
+           "head_only_finetune": lambda: head_only_finetune(model, tokens, labels, 0.1, 1)}
+    assert traced_peak(run[call]) < 2 * pass_bytes
 
 
 @pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
@@ -246,15 +336,16 @@ def test_evaluate_in_chunks_equals_fresh_buffers(n, craft_adapt):
 @pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward-only"])
 def test_buffers_hold_one_layer_of_ctx(backward):
     """``ctx`` is one layer of ``(batch, seq_len, d)``; the backward pass
-    recomputes it.  Every other activation keeps its documented depth."""
+    recomputes it and then uses it as its product scratch.  Every other
+    activation keeps its documented depth."""
     cfg = ToyConfig(n_layers=4, d_model=6, seq_len=5)
     batch, s, d = 3, cfg.seq_len, cfg.d_model
     buf = _Buffers(cfg, batch, backward=backward)
     assert buf.ctx.shape == (batch, s, d)
     depth = cfg.n_layers if backward else 1
     # x keeps depth + 1 rows, q, k, v depth and ctx one; the backward scratch
-    # is dx, tmp and four (batch, s, d) gradients plus two score-sized ones
-    acts = (depth + 1) + 3 * depth + 1 + (6 if backward else 0)
+    # is dx and two (batch, s, d) gradient arrays plus two score-sized ones
+    acts = (depth + 1) + 3 * depth + 1 + (3 if backward else 0)
     scores = depth + (2 if backward else 0)
     nbytes = sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
     assert nbytes == 8 * batch * s * (acts * d + scores * s)

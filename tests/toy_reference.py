@@ -7,6 +7,9 @@ forward/backward pass per step and reads only the head gradients.
 ``reference_pretrain`` and ``reference_craft_finetune`` are the training loops
 written over the public ``loss_and_grads`` and ``evaluate``, which work in
 fresh activation buffers on every call.
+``unaliased_loss_and_grads`` is the GEMM training step with one scratch
+array per backward value and ``dx``'s query term added after ``d_k`` is
+formed; the aliased step must equal it bit for bit.
 ``majority_label`` states the base task's labelling rule directly.
 """
 
@@ -15,9 +18,15 @@ import numpy as np
 from craft.adapter import grad_j, sgd_step
 from craft.errors import DivergenceError
 from craft.toy import (
+    BACKBONE,
+    CHUNK,
+    PROJECTIONS,
     ToyModel,
+    _Buffers,
+    _check_batch,
     _check_tokens,
     _derived_seeds,
+    _forward,
     cross_entropy,
     evaluate,
     loss_and_grads,
@@ -97,6 +106,76 @@ def reference_loss_and_grads(model, tokens, labels):
 
     np.add.at(g["embeddings"], cache["tokens"], dx)
     return loss, g
+
+
+def unaliased_loss_and_grads(model, tokens, labels):
+    """``loss_and_grads`` with the forward's buffers and, per chunk of
+    ``CHUNK`` sequences, one fresh array for each backward value; the chunks
+    run in order on the calling thread and the embedding gradient is
+    ``np.add.at`` over ``dx``."""
+    tok, labels = _check_batch(model, tokens, labels)
+    buf = _Buffers(model.cfg, len(tok), backward=True)
+    qv = model.effective_qv()
+    pooled = _forward(model, tok, buf, qv)
+    loss, dlogits = cross_entropy(pooled @ model.head_w + model.head_b, labels)
+    groups = BACKBONE if model.adapters is None else tuple(PROJECTIONS[n] for n in model.adapters)
+    d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
+    g, dx = None, []
+    for start in range(0, len(tok), CHUNK):
+        stop = min(start + CHUNK, len(tok))
+        partial, chunk_dx = _unaliased_backward(model, buf.rows(start, stop),
+                                                d_pooled[start:stop], qv, groups)
+        dx.append(chunk_dx)
+        if g is None:
+            g = partial
+        else:
+            for name in g:
+                g[name] += partial[name]
+    g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
+    if "embeddings" in groups:
+        g["embeddings"] = np.zeros_like(model.embeddings)
+        np.add.at(g["embeddings"], tok, np.concatenate(dx))
+    return loss, g
+
+
+def _unaliased_backward(model, buf, d_pooled, qv, groups):
+    """One chunk's weight gradients and its ``dx``, reading only the forward
+    activations in ``buf``."""
+    d = model.cfg.d_model
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    wq_eff, wv_eff = qv
+    acts, scores = buf.x[0].shape, buf.attn[0].shape
+    g = {name: np.empty_like(getattr(model, name)) for name in groups if name != "embeddings"}
+    dx_3d = np.empty(acts)
+    dx_3d[:] = d_pooled[:, None, :]
+    ctx, tmp, d_ctx, d_v, d_q, d_k = (np.empty(acts) for _ in range(6))
+    d_attn, tmp_attn = np.empty(scores), np.empty(scores)
+    dx = dx_3d.reshape(-1, d)
+    for layer in range(model.cfg.n_layers - 1, -1, -1):
+        x, q, k, v = buf.x[layer].reshape(-1, d), buf.q[layer], buf.k[layer], buf.v[layer]
+        attn = buf.attn[layer]
+        if "wo" in g:
+            np.matmul(attn, v, out=ctx)
+            np.matmul(dx.T, ctx.reshape(-1, d), out=g["wo"][layer])
+        np.matmul(dx, model.wo[layer], out=d_ctx.reshape(-1, d))
+        d_scores = np.matmul(d_ctx, v.swapaxes(1, 2), out=d_attn)
+        np.matmul(attn.swapaxes(1, 2), d_ctx, out=d_v)
+        d_scores -= np.multiply(d_scores, attn, out=tmp_attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
+        d_scores *= inv_sqrt_d
+        np.matmul(d_scores, k, out=d_q)
+        if "wq" in g:
+            np.matmul(d_q.reshape(-1, d).T, x, out=g["wq"][layer])
+        if "wv" in g:
+            np.matmul(d_v.reshape(-1, d).T, x, out=g["wv"][layer])
+        if layer == 0 and "embeddings" not in groups:
+            break
+        np.matmul(d_scores.swapaxes(1, 2), q, out=d_k)
+        if "wk" in g:
+            np.matmul(d_k.reshape(-1, d).T, x, out=g["wk"][layer])
+        for term, w in ((d_q, wq_eff[layer]), (d_k, model.wk[layer]), (d_v, wv_eff[layer])):
+            dx += np.matmul(term.reshape(-1, d), w, out=tmp.reshape(-1, d))
+    return g, dx_3d
 
 
 def reference_head_only_finetune(model, task, eta, steps):
