@@ -1,13 +1,13 @@
-"""The package's one parallelism policy: how many workers, at what BLAS count,
-and the one place a process is started.
+"""The package's one parallelism policy, and the one place it starts a
+thread or a process.
 
-The toy's chunk threads and ``hosvd``'s forked child run only where
-``WORKERS >= 2``: numpy's BLAS is OpenBLAS (MKL, BLIS and Accelerate builds
-stay serial) and two CPUs are usable.  While they run, both hold OpenBLAS at
-one thread per call (``one_blas_thread``), so they do not wait on each
-other's BLAS threads.  The count is process-wide: other threads get it too.
-``forked`` runs one function in a child process and brings back its pickled
-value; the child cannot outlive the caller.
+Work runs in parallel only where ``WORKERS >= 2``: numpy's BLAS is OpenBLAS
+(MKL, BLIS and Accelerate builds stay serial) and two CPUs are usable.
+While it runs, OpenBLAS is held at one thread per call, process-wide, so
+workers do not wait on each other's BLAS threads; the count it found is put
+back however the work ends.  ``chunked`` runs a function over fixed chunks
+of a range on worker threads; ``forked`` runs one in a forked child and
+brings back its pickled value, and the child cannot outlive the caller.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import signal
 import sys
 import threading
 
+import numpy as np
 from numpy._core import _multiarray_umath
 
 if sys.platform == "linux":
@@ -26,11 +27,6 @@ if sys.platform == "linux":
     _prctl = ctypes.CDLL(None).prctl
     _prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
     _prctl.restype = ctypes.c_int
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _bind_openblas():
@@ -48,13 +44,14 @@ def _bind_openblas():
 
 
 OPENBLAS = _bind_openblas()
-WORKERS = usable_cpus() if OPENBLAS else 1
+# one worker per CPU this process may run on (its affinity mask where the OS has one)
+WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) if OPENBLAS else 1)
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """Hold OpenBLAS at one thread per call, process-wide, and put back the
-    count it found however the block ends; a count of 1 is left alone."""
+def _one_blas_thread():
+    """The OpenBLAS hold (see the module docstring); a count of 1 is left alone."""
     blas = OPENBLAS[0]() if OPENBLAS else 1
     if blas != 1:
         OPENBLAS[1](1)
@@ -63,6 +60,46 @@ def one_blas_thread():
     finally:
         if blas != 1:
             OPENBLAS[1](blas)
+
+
+def chunked(n: int, size: int, work) -> list:
+    """``[work(start, stop) for each chunk of range(n)]``, run on worker threads.
+
+    The chunks are ``size`` long, the last one partial.  The calling thread
+    works too, so ``min(chunks, WORKERS) - 1`` threads start, under the
+    OpenBLAS hold; each one that started is joined before this returns or
+    raises.  Each worker runs under the caller's numpy error state and stops
+    at its first failing chunk.  An interrupt (a ``BaseException`` that is
+    no ``Exception``) is raised here first, else the first failing chunk's.
+    """
+    bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
+    results, errors = [None] * len(bounds), [None] * len(bounds)
+    workers, errstate = min(len(bounds), WORKERS), np.geterr()
+
+    def run(first: int):
+        with np.errstate(**errstate):
+            for i in range(first, len(bounds), workers):
+                try:
+                    results[i] = work(*bounds[i])
+                except BaseException as err:
+                    errors[i] = err
+                    break  # the chunks this thread skips all come after this one
+
+    threads = []
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
+        try:
+            for first in range(1, workers):
+                thread = threading.Thread(target=run, args=(first,))
+                thread.start()
+                threads.append(thread)
+            run(0)
+        finally:
+            for thread in threads:
+                thread.join()
+    failed = [err for err in errors if err is not None]
+    if failed:
+        raise next((err for err in failed if not isinstance(err, Exception)), failed[0])
+    return results
 
 
 @contextlib.contextmanager
@@ -75,15 +112,14 @@ def forked(work):
     the work itself.  A child runs only on Linux, with ``WORKERS >= 2`` and
     no other Python thread alive (the child would inherit locks that thread
     may hold); otherwise ``result`` is ``lambda: None`` and nothing else
-    happens.  OpenBLAS is held at one thread from before the fork until the
-    child is reaped.  The child dies with this process (``PR_SET_PDEATHSIG``,
-    or at once if this process died first), and leaving the block kills it
-    unless ``result`` read it to its end, then reaps it.
+    happens.  The child dies with this process (``PR_SET_PDEATHSIG``, or at
+    once if this process died first), and leaving the block kills it unless
+    ``result`` read it to its end, then reaps it.
     """
     if sys.platform != "linux" or WORKERS < 2 or threading.active_count() > 1:
         yield lambda: None
         return
-    with one_blas_thread():
+    with _one_blas_thread():
         parent, pid, fds, done = os.getpid(), None, [], False
         try:
             try:

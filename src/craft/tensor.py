@@ -7,11 +7,11 @@ row-major over ``(i1, i2, i3)``.  A ``Matrix`` is a float64 array of shape
 ``(rows, cols)``.
 
 Array validation has one policy, :func:`check_array`: every array argument
-is checked once, where it enters the API, for its shape (exact extents, or
-any extent >= 1) and for NaN/Inf, and comes back C-contiguous float64; the
-message starts with the argument's name.  Public entry points call it
-(``frozen_array`` through it) under their own argument names, so non-finite
-values and mismatched shapes never propagate past the API boundary.
+is checked once, where it enters the API, for a real dtype (bool, complex,
+string and bytes arrays are refused, not cast), its shape (exact extents or
+any extent >= 1) and NaN/Inf, and comes back C-contiguous float64, with a
+message that starts with the argument's name.  Public entry points call it
+(``frozen_array`` through it), so bad values never pass the API boundary.
 
 Unfolding convention (the single convention used everywhere in this
 package): the mode-n unfolding puts index ``i_n`` on the rows; the columns
@@ -42,13 +42,24 @@ _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 BAND = 100
 
 
+def _real_array(data, name: str) -> np.ndarray:
+    """``data`` as a float64 array, else ``ValidationError`` naming it."""
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind in "bcSU":  # bool, complex, str, bytes
+            raise TypeError(f"got dtype {arr.dtype}")
+        return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as err:  # a ragged list too
+        raise ValidationError(f"{name} must be an array of real numbers: {err}") from None
+
+
 def check_array(data, name: str, shape) -> np.ndarray:
     """``data`` as a C-contiguous float64 array of ``shape``, else ``ValidationError`` naming it.
 
     ``shape`` has one entry per axis: an exact extent, or ``None`` for any
     extent >= 1.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _real_array(data, name)
     if arr.ndim != len(shape) or not all(
             n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
         expected = ", ".join("*" if want is None else str(want) for want in shape)
@@ -82,14 +93,9 @@ def frozen_array(data, name: str, shape) -> np.ndarray:
     steps keep the frozen buffers by reference; anything else, a read-only
     view of a writable array included, is copied.
     """
-    shareable = (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.float64
-        and data.flags["C_CONTIGUOUS"]
-        and is_immutable(data)
-    )
-    arr = data if shareable else np.array(data, dtype=np.float64, order="C")
-    arr = check_array(arr, name, shape)
+    arr = check_array(data, name, shape)
+    if not is_immutable(arr):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

@@ -26,24 +26,19 @@ same set in passes of its batch.  The backward scratch holds only live
 values.  Forward-only calls run in passes of ``parallel.WORKERS * CHUNK``
 sequences, so their memory does not grow with the input.
 
-Every pass splits its sequences into chunks of ``CHUNK`` at fixed
-boundaries and runs the forward and backward of each chunk on a worker
-thread, in that chunk's own rows of the buffers: ``parallel.WORKERS`` of
-them (at most one per chunk), under ``parallel.one_blas_thread``.
-The calling thread does what needs the whole batch: the head, the loss, and
-the sums of the per-chunk weight gradients in chunk order.  The split
-depends only on the number of sequences, so every result is the same bytes
-whatever the CPU or BLAS thread count.
+Each chunk of ``CHUNK`` sequences runs in its own rows of the buffers
+through :func:`craft.parallel.chunked` (the parallelism policy lives
+there); the calling thread does the head, the loss and the chunk-ordered
+sum of the weight gradients.  Chunks split at fixed boundaries, so results
+are the same bytes whatever the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
-import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -58,6 +53,8 @@ BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
 PARAMS = BACKBONE + ("head_w", "head_b")
 # sequences per chunk; a batch splits at multiples of it, whatever the CPU count
 CHUNK = 128
+# pretraining evaluates its model every this many steps
+EVAL_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -221,44 +218,6 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _chunked(n: int, work: Callable[[int, int], object]) -> list:
-    """``[work(start, stop) for each chunk of n sequences]``, run on worker threads.
-
-    The chunks are ``CHUNK`` sequences each, the last one partial.  The
-    calling thread works too, so ``min(chunks, parallel.WORKERS) - 1``
-    threads start, and all of them are joined, under
-    ``parallel.one_blas_thread``, before this returns.  Each worker runs
-    under the caller's numpy error state and stops at its first failing
-    chunk.  An interrupt (a ``BaseException`` that is no ``Exception``, such
-    as ``KeyboardInterrupt``) is raised here first, and otherwise the
-    exception of the first chunk that failed.
-    """
-    bounds = [(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
-    results, errors = [None] * len(bounds), [None] * len(bounds)
-    workers, errstate = min(len(bounds), parallel.WORKERS), np.geterr()
-
-    def run(first: int):
-        with np.errstate(**errstate):
-            for i in range(first, len(bounds), workers):
-                try:
-                    results[i] = work(*bounds[i])
-                except BaseException as err:
-                    errors[i] = err
-                    break  # the chunks this thread skips all come after this one
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    with parallel.one_blas_thread() if threads else contextlib.nullcontext():
-        for t in threads:
-            t.start()
-        run(0)
-        for t in threads:
-            t.join()
-    failed = [err for err in errors if err is not None]
-    if failed:
-        raise next((err for err in failed if not isinstance(err, Exception)), failed[0])
-    return results
-
-
 class _Buffers:
     """Activations for up to ``batch`` sequences, overwritten in place by every pass.
 
@@ -303,7 +262,7 @@ def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers,
     """Pooled features ``(len(tok), d)`` of validated ``tok``, at most ``buf.batch``
     sequences, under the effective Q/V stacks ``qv``.  Each chunk runs on a
     worker and writes its activations into its own rows of ``buf``."""
-    return np.concatenate(_chunked(len(tok), lambda start, stop: _forward_rows(
+    return np.concatenate(parallel.chunked(len(tok), CHUNK, lambda start, stop: _forward_rows(
         model, tok[start:stop], buf.rows(start, stop), qv)))
 
 
@@ -385,7 +344,7 @@ def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
     loss, dlogits = cross_entropy(pooled @ model.head_w + model.head_b, labels)
     groups = BACKBONE if model.adapters is None else tuple(PROJECTIONS[n] for n in model.adapters)
     d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
-    partials = _chunked(len(tok), lambda start, stop: _backward(
+    partials = parallel.chunked(len(tok), CHUNK, lambda start, stop: _backward(
         model, buf.rows(start, stop), d_pooled[start:stop], qv, groups))
     g = partials[0]
     for partial in partials[1:]:
@@ -473,7 +432,6 @@ def pretrain(
     eta: float = 0.05,
     max_steps: int = 400,
     target_acc: float = 0.9,
-    eval_every: int = 5,
 ) -> ToyModel:
     """Full-batch gradient descent on every parameter until ``target_acc``.
 
@@ -483,7 +441,6 @@ def pretrain(
     eta = check_real(eta, "eta")
     max_steps = check_int(max_steps, "max_steps", low=0)
     target_acc = check_real(target_acc, "target_acc")
-    eval_every = check_int(eval_every, "eval_every")
     seeds = _derived_seeds(cfg.seed)
     model = ToyModel(cfg, np.random.default_rng(seeds["model"]))
     tokens, labels = _check_batch(model, *make_dataset(task, cfg, "train"))
@@ -501,7 +458,7 @@ def pretrain(
             arr = getattr(model, name)
             arr -= eta * g[name]
         acc = None
-        if (step + 1) % eval_every == 0:
+        if (step + 1) % EVAL_EVERY == 0:
             acc = _evaluate(model, eval_tokens, eval_labels, buf)
             if acc >= target_acc:
                 break

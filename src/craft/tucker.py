@@ -4,9 +4,9 @@ The decomposition is single-pass: one truncated SVD per mode-n unfolding,
 then the core is the triple mode product with the transposed factors.  No
 alternating refinement is performed.  The three SVDs are independent and
 the solver holds the GIL, so above ``FORK_ABOVE_ROWS`` rows a forked child
-(:func:`craft.parallel.forked`) solves the mode-3 unfolding while this
-process solves modes 1 and 2 (see :func:`hosvd`); the results are the same
-bytes.
+(:func:`craft.parallel.forked`, under the package's parallelism policy)
+solves the mode-3 unfolding while this process solves modes 1 and 2 (see
+:func:`hosvd`); the results are the same bytes.
 ``TuckerFactors`` freezes its arrays (read-only buffers inside a frozen
 dataclass) because an adapter applies its trained delta to exactly these
 factors for the rest of training.

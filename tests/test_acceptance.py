@@ -52,7 +52,7 @@ from helpers import radius_construction
 # past 0.9, leaving headroom the adapters close faster than the head alone
 TOY_SEED = 0
 TOY_RANKS = (4, 8, 8)
-PRETRAIN = dict(eta=0.05, max_steps=400, target_acc=0.9, eval_every=5)
+PRETRAIN = dict(eta=0.05, max_steps=400, target_acc=0.9)
 FINETUNE = dict(eta=0.1, steps=120)
 EVAL_SIZE = 512
 

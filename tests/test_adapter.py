@@ -347,6 +347,19 @@ def test_sgd_step_rejects_non_finite_gradients():
         sgd_step(a, (g1, g2, g3), np.inf)
 
 
+@pytest.mark.parametrize("make", [
+    lambda g: g * 1j, lambda g: g > 0, lambda g: g.astype(str), lambda g: [[0.0], [0.0, 0.0]],
+], ids=["complex", "bool", "str", "ragged"])
+def test_sgd_step_rejects_gradients_that_are_not_real(make):
+    """A complex gradient would step by its real part, a bool or string one
+    by 0/1 or parsed numbers; each is refused, naming the gradient."""
+    rng = np.random.default_rng(24)
+    a, _ = random_adapter(rng)
+    g1, g2, g3 = grad_j(a, rng.standard_normal(a.dims))
+    with pytest.raises(ValidationError, match="^gradient 2 must be an array of real numbers"):
+        sgd_step(a, (g1, make(g2), g3), 0.1)
+
+
 @pytest.mark.parametrize("eta", [None, True, "0.1", np.nan, -np.inf])
 def test_sgd_step_rejects_bad_eta(eta):
     rng = np.random.default_rng(22)

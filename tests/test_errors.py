@@ -94,6 +94,14 @@ REAL_PARAMS = [
 ]
 
 
+def _not_real(shape):
+    """Arrays of ``shape`` that are no real numbers, and inputs numpy cannot
+    convert to an array at all; none may be cast to float64."""
+    zeros = np.zeros(shape)
+    return [zeros * 1j, zeros.astype(bool), zeros.astype(str), zeros.astype(bytes), "abc",
+            [[0.0], [0.0, 0.0]]]
+
+
 def _cases(params, bad_values):
     return [pytest.param(call, name, error, bad, id=f"{pid}-{bad!r}")
             for pid, call, name, error in params for bad in bad_values]
@@ -121,6 +129,9 @@ def test_bad_array_raises_validation_error_naming_it(call, name, shape):
     bad.flat[-1] = np.nan
     with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
         call(bad)
+    for bad in _not_real(shape):
+        with pytest.raises(ValidationError, match=rf"^{name} must be an array of real numbers"):
+            call(bad)
 
 
 @pytest.mark.parametrize("call,name,ndim", [
@@ -133,6 +144,9 @@ def test_bad_any_extent_array_raises_validation_error_naming_it(tmp_path, call, 
     bad.flat[-1] = np.nan
     with pytest.raises(ValidationError, match=rf"^{name} contains non-finite values$"):
         call(tmp_path, bad)
+    for bad in _not_real((2,) * ndim):
+        with pytest.raises(ValidationError, match=rf"^{name} must be an array of real numbers"):
+            call(tmp_path, bad)
     assert list(tmp_path.iterdir()) == []  # no file, no leftover *.tmp
 
 

@@ -84,8 +84,7 @@ def test_craft_finetune_owns_the_toys_only_exception_handler():
     # every fine-tuning step runs inside one handler that reports an overflow
     # or non-finite value as a DivergenceError with its step; the toy's
     # inputs are checked up front, so no other code there handles an error.
-    # A chunk worker's handler only carries what its chunk raised back to the
-    # calling thread, which raises it again (test_toy checks that it does)
+    # The chunk workers' handler lives in craft.parallel (test_parallel checks it)
     tree = ast.parse((Path(craft.__file__).parent / "toy.py").read_text(encoding="utf-8"))
     owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn)}
@@ -94,8 +93,7 @@ def test_craft_finetune_owns_the_toys_only_exception_handler():
         if isinstance(node, ast.ExceptHandler):
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             handlers.append((owner.get(node), sorted(map(ast.unparse, filter(None, caught)))))
-    assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"]),
-                        ("run", ["BaseException"])]
+    assert handlers == [("craft_finetune", ["DivergenceError", "ValidationError"])]
 
 
 def _identifiers(tree):
@@ -106,17 +104,21 @@ def _identifiers(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.rpartition(".")[2]
 
 
 def test_only_parallel_decides_how_work_runs_in_parallel():
     # craft.parallel holds the one worker rule, the one BLAS thread hold and
-    # the one place a process starts, so no other module reads the CPU mask
-    # or OpenBLAS's thread count, or names fork, waitpid or prctl
+    # the one place a thread or a process starts, so no other module reads
+    # the CPU mask or OpenBLAS's thread count, imports threading, or names
+    # Thread, fork, waitpid or prctl
     package = Path(craft.__file__).parent
     deciders = set()
     for path in package.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         if (any(name in text for name in ("num_threads", "sched_getaffinity"))
-                or {"fork", "waitpid", "prctl"} & set(_identifiers(ast.parse(text)))):
+                or {"threading", "Thread", "fork", "waitpid", "prctl"}
+                & set(_identifiers(ast.parse(text)))):
             deciders.add(path.name)
     assert deciders == {"parallel.py"}

@@ -1,12 +1,17 @@
+import ast
+import contextlib
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from craft import parallel
+from craft import parallel, toy
+from craft.toy import CHUNK
 from helpers import assert_no_child_left, open_fds
 
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -69,3 +74,181 @@ def test_an_exception_in_the_block_kills_and_reaps_the_child(forks, two_workers)
     assert len(forks) == 1
     assert open_fds() == fds
     assert_no_child_left()
+
+
+def test_chunks_run_on_separate_workers_in_order(monkeypatch):
+    """Each chunk of ``CHUNK`` sequences (the last partial) runs once, the
+    calling thread among the workers; results come back in chunk order and
+    every worker thread is joined."""
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    threads = threading.active_count()
+    ran = []
+
+    def work(start, stop):
+        ran.append(threading.current_thread())  # an ident can be reused, a Thread is not
+        return start, stop
+
+    assert parallel.chunked(4 * CHUNK + 1, CHUNK, work) == [
+        (0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK), (3 * CHUNK, 4 * CHUNK),
+        (4 * CHUNK, 4 * CHUNK + 1)]
+    assert len(ran) == 5
+    assert len(set(ran)) == 3 and threading.current_thread() in ran
+    assert threading.active_count() == threads
+    ran.clear()
+    assert parallel.chunked(CHUNK, CHUNK, work) == [(0, CHUNK)]
+    assert ran == [threading.current_thread()]  # one chunk starts no thread
+
+
+def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
+    """numpy's error state is per thread, so a worker would otherwise warn
+    where its caller ignores or raises."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    with np.errstate(over="raise", invalid="ignore"):
+        states = parallel.chunked(3 * CHUNK, CHUNK, lambda start, stop: np.geterr())
+        assert states == [np.geterr()] * 3
+        with pytest.raises(FloatingPointError):
+            parallel.chunked(2 * CHUNK, CHUNK,
+                             lambda start, stop: np.float64(1e308) * (10.0 + start))
+
+
+def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
+    """Chunks 1 to 3 fail, chunk 2 on the calling thread itself; the caller
+    raises chunk 1's exception, after every worker has been joined."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    threads = threading.active_count()
+
+    def work(start, stop):
+        if start:
+            raise ValueError(f"chunk {start // CHUNK}")
+
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        parallel.chunked(4 * CHUNK, CHUNK, work)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, workers):
+    """A KeyboardInterrupt in the calling thread's chunk 2 ends that thread's
+    loop and is raised ahead of chunk 1's earlier error; with one worker,
+    chunk 1's error already ended the loop and is raised."""
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    threads = threading.active_count()
+    ran = []
+
+    def work(start, stop):
+        chunk = start // CHUNK
+        ran.append(chunk)
+        if chunk == 1:
+            raise ValueError("chunk 1")
+        if chunk == 2:
+            raise KeyboardInterrupt
+
+    with pytest.raises(BaseException) as raised:  # a stray interrupt must not end the session
+        parallel.chunked(6 * CHUNK, CHUNK, work)
+    assert raised.type is (KeyboardInterrupt if workers == 2 else ValueError)
+    assert sorted(ran) == ([0, 1, 2] if workers == 2 else [0, 1])
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt],
+                         ids=["returns", "exception", "interrupt"])
+def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_at_two, failure):
+    """Every chunk on two workers sees one OpenBLAS thread, and the count
+    reads two again after the call, also when a chunk raises."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    seen = []
+
+    def work(start, stop):
+        seen.append(blas_at_two())
+        if failure and start == CHUNK:  # chunk 1, on the worker thread
+            raise failure("chunk 1")
+
+    with pytest.raises(failure) if failure else contextlib.nullcontext():
+        parallel.chunked(3 * CHUNK, CHUNK, work)
+    assert seen == [1, 1, 1]
+    assert blas_at_two() == 2
+    # one chunk starts no worker
+    assert parallel.chunked(CHUNK, CHUNK, lambda start, stop: blas_at_two()) == [2]
+
+
+def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas_at_two):
+    """A KeyboardInterrupt that reaches the calling thread while it waits for
+    a worker, after that worker is done, still restores the count."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    join = threading.Thread.join
+
+    def interrupted(thread, timeout=None):
+        join(thread)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        parallel.chunked(2 * CHUNK, CHUNK, lambda start, stop: None)
+    assert blas_at_two() == 2
+
+
+def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
+    """Where numpy's BLAS exports no OpenBLAS thread calls (MKL, BLIS,
+    Accelerate) the toy imports with one worker and ``hosvd`` forks no child
+    even above its row threshold; forced to two workers, the toy's chunks
+    run at whatever count BLAS had."""
+    probe = ("import ctypes, os\n"
+             "import numpy as np\n"
+             "from numpy._core import _multiarray_umath\n"
+             "cdll = ctypes.CDLL\n"
+             "ctypes.CDLL = lambda name, *a, **kw: (\n"
+             "    object() if name == _multiarray_umath.__file__ else cdll(name, *a, **kw))\n"
+             "from craft import parallel, toy, tucker\n"
+             "forks, fork = [], os.fork\n"
+             "os.fork = lambda: forks.append(1) or fork()\n"
+             "tucker.FORK_ABOVE_ROWS = 0\n"
+             "w = np.random.default_rng(18).standard_normal((2, 40, 40))\n"
+             "tucker.hosvd(w, tucker.TuckerRanks(1, 4, 4))\n"
+             "print(parallel.OPENBLAS, parallel.WORKERS, len(forks))\n")
+    src = str(Path(toy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1 0\n", "")
+    read = parallel.OPENBLAS[0] if parallel.OPENBLAS else lambda: None
+    monkeypatch.setattr(parallel, "OPENBLAS", None)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    assert parallel.chunked(3 * CHUNK, CHUNK, lambda start, stop: read()) == [read()] * 3
+
+
+def test_a_worker_that_fails_to_start_leaves_no_thread_running(monkeypatch, blas_at_two):
+    """When the second of two worker threads cannot start, the first is
+    joined, still under one OpenBLAS thread, before the start's error
+    reaches the caller; the count is put back after it."""
+    monkeypatch.setattr(parallel, "WORKERS", 3)
+    threads = threading.active_count()
+    start, starts, seen = threading.Thread.start, [], []
+
+    def start_once(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def work(begin, stop):
+        time.sleep(0.05)  # the started worker is still busy when the next start fails
+        seen.append(blas_at_two())
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        parallel.chunked(6 * CHUNK, CHUNK, work)
+    assert threading.active_count() == threads
+    assert seen == [1, 1]  # the started worker's chunks 1 and 4
+    assert blas_at_two() == 2
+
+
+def test_chunked_only_carries_a_chunks_error_back_to_the_caller():
+    """``chunked`` has one handler, in its worker: it keeps what a chunk
+    raised for the calling thread, which raises it again (the tests above
+    check which), and itself calls and raises nothing."""
+    tree = ast.parse(Path(parallel.__file__).read_text(encoding="utf-8"))
+    chunked = next(fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "chunked")
+    handlers = [node for node in ast.walk(chunked) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(handler.type) for handler in handlers] == ["BaseException"]
+    assert not [node for stmt in handlers[0].body for node in ast.walk(stmt)
+                if isinstance(node, (ast.Call, ast.Raise))]

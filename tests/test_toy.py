@@ -1,10 +1,6 @@
-import contextlib
 import itertools
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,8 +194,7 @@ def test_pretrain_evaluates_each_model_once(monkeypatch, max_steps, target_acc, 
     calls = []
     monkeypatch.setattr(toy, "_forward", lambda *args: calls.append(len(args[1])) or
                         _forward(*args))
-    m = pretrain(SMALL_CFG, task, eta=0.5, max_steps=max_steps, target_acc=target_acc,
-                 eval_every=5)
+    m = pretrain(SMALL_CFG, task, eta=0.5, max_steps=max_steps, target_acc=target_acc)
     assert len(m.pretrain_losses) == steps
     assert calls.count(8) == evals  # the last pass of each evaluation
     assert len(calls) == steps + 3 * evals
@@ -372,7 +367,7 @@ def test_head_only_finetune_rejects_bad_steps(steps):
 
 @pytest.mark.parametrize("name,value", [
     ("max_steps", 2.5), ("max_steps", True), ("max_steps", -1), ("eta", "x"),
-    ("target_acc", None), ("target_acc", np.inf), ("eval_every", 0),
+    ("target_acc", None), ("target_acc", np.inf),
 ])
 def test_pretrain_rejects_bad_arguments(name, value):
     with pytest.raises(ValidationError, match=f"^{name} "):
@@ -484,143 +479,6 @@ def test_row_max_is_bitwise_max():
         assert toy._row_max(scores).tobytes() == scores.max(axis=-1).tobytes(), n
     scores = np.random.default_rng(0).choice(values + [1.0, 2.0], size=(64, 3, 12, 12))
     assert toy._row_max(scores).tobytes() == scores.max(axis=-1).tobytes()
-
-
-def test_chunks_run_on_separate_workers_in_order(monkeypatch):
-    """Each chunk of ``CHUNK`` sequences (the last partial) runs once, the
-    calling thread among the workers; results come back in chunk order and
-    every worker thread is joined."""
-    monkeypatch.setattr(parallel, "WORKERS", 3)
-    threads = threading.active_count()
-    ran = []
-
-    def work(start, stop):
-        ran.append(threading.current_thread())  # an ident can be reused, a Thread is not
-        return start, stop
-
-    assert toy._chunked(4 * CHUNK + 1, work) == [
-        (0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK), (3 * CHUNK, 4 * CHUNK),
-        (4 * CHUNK, 4 * CHUNK + 1)]
-    assert len(ran) == 5
-    assert len(set(ran)) == 3 and threading.current_thread() in ran
-    assert threading.active_count() == threads
-    ran.clear()
-    assert toy._chunked(CHUNK, work) == [(0, CHUNK)]
-    assert ran == [threading.current_thread()]  # one chunk starts no thread
-
-
-def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
-    """numpy's error state is per thread, so a worker would otherwise warn
-    where its caller ignores or raises."""
-    monkeypatch.setattr(parallel, "WORKERS", 2)
-    with np.errstate(over="raise", invalid="ignore"):
-        states = toy._chunked(3 * CHUNK, lambda start, stop: np.geterr())
-        assert states == [np.geterr()] * 3
-        with pytest.raises(FloatingPointError):
-            toy._chunked(2 * CHUNK, lambda start, stop: np.float64(1e308) * (10.0 + start))
-
-
-def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
-    """Chunks 1 to 3 fail, chunk 2 on the calling thread itself; the caller
-    raises chunk 1's exception, after every worker has been joined."""
-    monkeypatch.setattr(parallel, "WORKERS", 2)
-    threads = threading.active_count()
-
-    def work(start, stop):
-        if start:
-            raise ValueError(f"chunk {start // CHUNK}")
-
-    with pytest.raises(ValueError, match="^chunk 1$"):
-        toy._chunked(4 * CHUNK, work)
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, workers):
-    """A KeyboardInterrupt in the calling thread's chunk 2 ends that thread's
-    loop and is raised ahead of chunk 1's earlier error; with one worker,
-    chunk 1's error already ended the loop and is raised."""
-    monkeypatch.setattr(parallel, "WORKERS", workers)
-    threads = threading.active_count()
-    ran = []
-
-    def work(start, stop):
-        chunk = start // CHUNK
-        ran.append(chunk)
-        if chunk == 1:
-            raise ValueError("chunk 1")
-        if chunk == 2:
-            raise KeyboardInterrupt
-
-    with pytest.raises(BaseException) as raised:  # a stray interrupt must not end the session
-        toy._chunked(6 * CHUNK, work)
-    assert raised.type is (KeyboardInterrupt if workers == 2 else ValueError)
-    assert sorted(ran) == ([0, 1, 2] if workers == 2 else [0, 1])
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("failure", [None, ValueError, KeyboardInterrupt],
-                         ids=["returns", "exception", "interrupt"])
-def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_at_two, failure):
-    """Every chunk on two workers sees one OpenBLAS thread, and the count
-    reads two again after the call, also when a chunk raises."""
-    monkeypatch.setattr(parallel, "WORKERS", 2)
-    seen = []
-
-    def work(start, stop):
-        seen.append(blas_at_two())
-        if failure and start == CHUNK:  # chunk 1, on the worker thread
-            raise failure("chunk 1")
-
-    with pytest.raises(failure) if failure else contextlib.nullcontext():
-        toy._chunked(3 * CHUNK, work)
-    assert seen == [1, 1, 1]
-    assert blas_at_two() == 2
-    assert toy._chunked(CHUNK, lambda start, stop: blas_at_two()) == [2]  # one chunk, no worker
-
-
-def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas_at_two):
-    """A KeyboardInterrupt that reaches the calling thread while it waits for
-    a worker, after that worker is done, still restores the count."""
-    monkeypatch.setattr(parallel, "WORKERS", 2)
-    join = threading.Thread.join
-
-    def interrupted(thread, timeout=None):
-        join(thread)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(threading.Thread, "join", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        toy._chunked(2 * CHUNK, lambda start, stop: None)
-    assert blas_at_two() == 2
-
-
-def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
-    """Where numpy's BLAS exports no OpenBLAS thread calls (MKL, BLIS,
-    Accelerate) the toy imports with one worker and ``hosvd`` forks no child
-    even above its row threshold; forced to two workers, the toy's chunks
-    run at whatever count BLAS had."""
-    probe = ("import ctypes, os\n"
-             "import numpy as np\n"
-             "from numpy._core import _multiarray_umath\n"
-             "cdll = ctypes.CDLL\n"
-             "ctypes.CDLL = lambda name, *a, **kw: (\n"
-             "    object() if name == _multiarray_umath.__file__ else cdll(name, *a, **kw))\n"
-             "from craft import parallel, toy, tucker\n"
-             "forks, fork = [], os.fork\n"
-             "os.fork = lambda: forks.append(1) or fork()\n"
-             "tucker.FORK_ABOVE_ROWS = 0\n"
-             "w = np.random.default_rng(18).standard_normal((2, 40, 40))\n"
-             "tucker.hosvd(w, tucker.TuckerRanks(1, 4, 4))\n"
-             "print(parallel.OPENBLAS, parallel.WORKERS, len(forks))\n")
-    src = str(Path(toy.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1 0\n", "")
-    read = parallel.OPENBLAS[0] if parallel.OPENBLAS else lambda: None
-    monkeypatch.setattr(parallel, "OPENBLAS", None)
-    monkeypatch.setattr(parallel, "WORKERS", 2)
-    assert toy._chunked(3 * CHUNK, lambda start, stop: read()) == [read()] * 3
 
 
 def test_chunk_workers_under_stress_match_one_worker(monkeypatch):

@@ -271,9 +271,8 @@ def test_training_loops_reuse_buffers_without_carrying_state(projections, train_
     bit."""
     cfg = ToyConfig(seed=5)
     task = SyntheticTask(seed=5, train_size=train_size, eval_size=eval_size)
-    m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9, eval_every=5)
-    ref, ref_losses = reference_pretrain(cfg, task, eta=0.05, max_steps=60,
-                                         target_acc=0.9, eval_every=5)
+    m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9)
+    ref, ref_losses = reference_pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9)
     assert len(ref_losses) >= 6
     assert m.pretrain_losses == ref_losses
     for name in GROUPS:

@@ -20,6 +20,7 @@ from craft.errors import DivergenceError
 from craft.toy import (
     BACKBONE,
     CHUNK,
+    EVAL_EVERY,
     PROJECTIONS,
     ToyModel,
     _Buffers,
@@ -192,7 +193,7 @@ def reference_head_only_finetune(model, task, eta, steps):
     return tuned, losses
 
 
-def reference_pretrain(cfg, task, eta, max_steps, target_acc, eval_every):
+def reference_pretrain(cfg, task, eta, max_steps, target_acc):
     model = ToyModel(cfg, np.random.default_rng(_derived_seeds(cfg.seed)["model"]))
     tokens, labels = make_dataset(task, cfg, "train")
     eval_set = make_dataset(task, cfg, "eval")
@@ -203,7 +204,7 @@ def reference_pretrain(cfg, task, eta, max_steps, target_acc, eval_every):
         for name in ("embeddings", "wq", "wk", "wv", "wo", "head_w", "head_b"):
             arr = getattr(model, name)
             arr -= eta * g[name]
-        if (step + 1) % eval_every == 0 and evaluate(model, *eval_set) >= target_acc:
+        if (step + 1) % EVAL_EVERY == 0 and evaluate(model, *eval_set) >= target_acc:
             break
     return model, losses
 
