@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError, check_int, check_real
 from .tucker import TuckerFactors, TuckerRanks, expand, hosvd, reconstruct
-from .tensor import _real_array, check_array, frozen_array, mode_n_product
+from .tensor import _array, check_array, frozen_array, mode_n_product
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,7 @@ def sgd_step(a: CraftAdapter, grads, eta: float) -> CraftAdapter:
         raise ValidationError(f"expected three gradient matrices, got {len(grads)}")
     stepped = copy.copy(a)
     for n, (j, g) in enumerate(zip(a.j_matrices, grads), start=1):
-        g = _real_array(g, f"gradient {n}")
-        if g.shape != j.shape:
-            raise ValidationError(f"gradient {n} has shape {g.shape}, expected {j.shape}")
-        new_j = j - eta * g
+        new_j = j - eta * _array(g, f"gradient {n}", j.shape)
         # covers a non-finite gradient and a step that overflows alike
         if not np.isfinite(new_j).all():
             raise DivergenceError(f"update of j{n} contains non-finite entries")

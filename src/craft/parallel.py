@@ -68,9 +68,10 @@ def chunked(n: int, size: int, work) -> list:
     The chunks are ``size`` long, the last one partial.  The calling thread
     works too, so ``min(chunks, WORKERS) - 1`` threads start, under the
     OpenBLAS hold; each one that started is joined before this returns or
-    raises.  Each worker runs under the caller's numpy error state and stops
-    at its first failing chunk.  An interrupt (a ``BaseException`` that is
-    no ``Exception``) is raised here first, else the first failing chunk's.
+    raises, also when an interrupt cuts a join short.  Each worker runs
+    under the caller's numpy error state and stops at its first failing
+    chunk.  An interrupt (a ``BaseException`` that is no ``Exception``) is
+    raised here first, else the first failing chunk's.
     """
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
     results, errors = [None] * len(bounds), [None] * len(bounds)
@@ -94,8 +95,17 @@ def chunked(n: int, size: int, work) -> list:
                 threads.append(thread)
             run(0)
         finally:
+            interrupt = None
             for thread in threads:
-                thread.join()
+                alive = True
+                while alive:
+                    try:
+                        thread.join()
+                    except BaseException as err:  # join every thread, then raise it
+                        interrupt = interrupt or err
+                    alive = thread.is_alive()
+            if interrupt:
+                raise interrupt
     failed = [err for err in errors if err is not None]
     if failed:
         raise next((err for err in failed if not isinstance(err, Exception)), failed[0])

@@ -6,12 +6,16 @@ A ``Tensor3`` is a C-contiguous float64 array of shape ``(I1, I2, I3)``,
 row-major over ``(i1, i2, i3)``.  A ``Matrix`` is a float64 array of shape
 ``(rows, cols)``.
 
-Array validation has one policy, :func:`check_array`: every array argument
-is checked once, where it enters the API, for a real dtype (bool, complex,
-string and bytes arrays are refused, not cast), its shape (exact extents or
-any extent >= 1) and NaN/Inf, and comes back C-contiguous float64, with a
-message that starts with the argument's name.  Public entry points call it
-(``frozen_array`` through it), so bad values never pass the API boundary.
+Array validation has one policy, stated here: every array argument is
+checked once, where it enters the API, and only this module compares an
+array's shape.  Its dtype must be real (bool, complex, string and bytes
+arrays are refused, not cast) or, for ids, integer; a ragged list is
+refused too.  Each axis has an exact extent or any extent >= 1.
+:func:`check_array` then refuses NaN/Inf and returns C-contiguous float64;
+:func:`check_ids` refuses an id outside ``[0, high)`` and returns int64.
+Every message starts with the argument's name.  Public entry points call
+them (``frozen_array`` through ``check_array``), so bad values never pass
+the API boundary.
 
 Unfolding convention (the single convention used everywhere in this
 package): the mode-n unfolding puts index ``i_n`` on the rows; the columns
@@ -42,31 +46,46 @@ _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 BAND = 100
 
 
-def _real_array(data, name: str) -> np.ndarray:
-    """``data`` as a float64 array, else ``ValidationError`` naming it."""
-    try:
-        arr = np.asarray(data)
-        if arr.dtype.kind in "bcSU":  # bool, complex, str, bytes
-            raise TypeError(f"got dtype {arr.dtype}")
-        return arr.astype(np.float64, copy=False)
-    except (TypeError, ValueError) as err:  # a ragged list too
-        raise ValidationError(f"{name} must be an array of real numbers: {err}") from None
-
-
-def check_array(data, name: str, shape) -> np.ndarray:
-    """``data`` as a C-contiguous float64 array of ``shape``, else ``ValidationError`` naming it.
+def _array(data, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """``data`` as a ``dtype`` (float64 or int64) array of ``shape``, finite or
+    not, else ``ValidationError`` naming it (the module docstring's rule).
 
     ``shape`` has one entry per axis: an exact extent, or ``None`` for any
     extent >= 1.
     """
-    arr = _real_array(data, name)
+    ids = dtype is np.int64
+    try:
+        arr = np.asarray(data)
+        if (arr.dtype.kind not in "iu") if ids else (arr.dtype.kind in "bcSU"):
+            raise TypeError(f"got dtype {arr.dtype}")
+        arr = arr.astype(dtype, copy=False)
+    except (TypeError, ValueError) as err:  # a ragged list too
+        what = "integers" if ids else "real numbers"
+        raise ValidationError(f"{name} must be an array of {what}: {err}") from None
     if arr.ndim != len(shape) or not all(
             n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
         expected = ", ".join("*" if want is None else str(want) for want in shape)
         raise ValidationError(f"{name} must have shape ({expected}), got {arr.shape}")
+    return arr
+
+
+def check_array(data, name: str, shape) -> np.ndarray:
+    """``data`` as a finite C-contiguous float64 array of ``shape`` (as for
+    :func:`_array`), else ``ValidationError`` naming it."""
+    arr = _array(data, name, shape)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     return np.ascontiguousarray(arr)
+
+
+def check_ids(data, name: str, shape, high: int) -> np.ndarray:
+    """``data`` as an int64 array of ``shape`` (as for :func:`_array`) with
+    every entry in ``[0, high)``, else ``ValidationError`` naming it."""
+    arr = _array(data, name, shape, np.int64)
+    if arr.min() < 0 or arr.max() >= high:
+        raise ValidationError(
+            f"{name} must lie in [0, {high}), got range [{arr.min()}, {arr.max()}]")
+    return arr
 
 
 def is_immutable(arr: np.ndarray) -> bool:

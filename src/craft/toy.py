@@ -18,6 +18,9 @@ Two operating modes:
 it maps each to the ``ToyModel`` stack it replaces, which is also the
 ``loss_and_grads`` key of that stack's upstream gradient.
 
+Token and label arrays are checked once, where they enter a public
+function, by :func:`craft.tensor.check_ids`, the package's one array policy.
+
 The backward pass is hand-derived for this fixed architecture and checked
 against central finite differences in the test suite.  Each training loop
 builds one set of activation buffers and writes every step into it, so steps
@@ -45,6 +48,7 @@ import numpy as np
 from . import parallel
 from .adapter import CraftAdapter, InitConfig, adapted_tensor, grad_j, init_adapter, sgd_step
 from .errors import DivergenceError, PretrainError, ValidationError, check_int, check_real
+from .tensor import check_ids
 from .tucker import TuckerRanks
 
 TASK_RULES = ("majority", "majority_flip")
@@ -172,33 +176,11 @@ class ToyModel:
         return h.hexdigest()
 
 
-def _check_ids(arr: np.ndarray, what: str, high: int) -> np.ndarray:
-    """``arr`` as int64 after checking it holds integers in ``[0, high)``."""
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{what} must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= high:
-        raise ValidationError(
-            f"{what} must lie in [0, {high}), got range [{arr.min()}, {arr.max()}]"
-        )
-    return arr.astype(np.int64)
-
-
-def _check_tokens(model: ToyModel, tokens) -> np.ndarray:
-    arr = np.asarray(tokens)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != model.cfg.seq_len:
-        raise ValidationError(
-            f"tokens must have shape (batch >= 1, {model.cfg.seq_len}), got {arr.shape}"
-        )
-    return _check_ids(arr, "token ids", model.cfg.vocab_size)
-
-
 def _check_batch(model: ToyModel, tokens, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Checked int64 ``tokens`` and one label per sequence."""
-    tok = _check_tokens(model, tokens)
-    arr = np.asarray(labels)
-    if arr.shape != (len(tok),):
-        raise ValidationError(f"labels must have shape ({len(tok)},), got {arr.shape}")
-    return tok, _check_ids(arr, "labels", model.cfg.n_classes)
+    """``tokens`` and one label per sequence, as checked int64 arrays."""
+    cfg = model.cfg
+    tok = check_ids(tokens, "tokens", (None, cfg.seq_len), cfg.vocab_size)
+    return tok, check_ids(labels, "labels", (len(tok),), cfg.n_classes)
 
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
@@ -304,7 +286,8 @@ def _pooled(model: ToyModel, tok: np.ndarray, buf: _Buffers | None) -> np.ndarra
 
 def forward(model: ToyModel, tokens) -> np.ndarray:
     """Logits ``(batch, n_classes)``."""
-    return _pooled(model, _check_tokens(model, tokens), None) @ model.head_w + model.head_b
+    tok = check_ids(tokens, "tokens", (None, model.cfg.seq_len), model.cfg.vocab_size)
+    return _pooled(model, tok, None) @ model.head_w + model.head_b
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -443,8 +426,8 @@ def pretrain(
     target_acc = check_real(target_acc, "target_acc")
     seeds = _derived_seeds(cfg.seed)
     model = ToyModel(cfg, np.random.default_rng(seeds["model"]))
-    tokens, labels = _check_batch(model, *make_dataset(task, cfg, "train"))
-    eval_tokens, eval_labels = _check_batch(model, *make_dataset(task, cfg, "eval"))
+    tokens, labels = make_dataset(task, cfg, "train")
+    eval_tokens, eval_labels = make_dataset(task, cfg, "eval")
     buf = _Buffers(cfg, len(tokens), backward=True)
 
     losses = []

@@ -10,7 +10,8 @@ from craft.errors import RankError, ValidationError, check_int, check_real
 from craft.linalg import truncated_svd
 from craft.serialization import write_matrix, write_tensor3
 from craft.tensor import fold, frobenius_norm, mode_n_product, stack_layers, unfold
-from craft.toy import SyntheticTask, ToyConfig
+from craft.toy import (SyntheticTask, ToyConfig, ToyModel, build_adapters, craft_finetune,
+                       evaluate, forward, head_only_finetune, loss_and_grads)
 from craft.tucker import TuckerRanks, approximation_error, compression_counts, hosvd
 from helpers import radius_construction
 
@@ -87,6 +88,26 @@ ANY_EXTENT_ARRAY_PARAMS = [
     ("write_matrix.m", lambda d, v: write_matrix(d / "m.crft", v), "m", 2),
 ]
 
+TOY_CFG = ToyConfig(n_layers=2, d_model=4, vocab_size=5, seq_len=3, n_classes=2)
+TOY = ToyModel(TOY_CFG, np.random.default_rng(0))
+TOY_ADAPTERS = build_adapters(TOY, RANKS)
+TOKENS, LABELS = np.zeros((2, TOY_CFG.seq_len), dtype=np.int64), np.zeros(2, dtype=np.int64)
+_TRAINING = {
+    "evaluate": lambda t, l: evaluate(TOY, t, l),
+    "loss_and_grads": lambda t, l: loss_and_grads(TOY, t, l),
+    "craft_finetune": lambda t, l: craft_finetune(TOY, TOY_ADAPTERS, t, l, 0.1, 0),
+    "head_only_finetune": lambda t, l: head_only_finetune(TOY, t, l, 0.1, 0),
+}
+
+# (id, call with the ids under test, parameter name, a valid shape, bound on the ids)
+ID_PARAMS = [
+    ("forward.tokens", lambda v: forward(TOY, v), "tokens", TOKENS.shape, TOY_CFG.vocab_size),
+    *[(f"{fn}.tokens", lambda v, call=call: call(v, LABELS), "tokens", TOKENS.shape,
+       TOY_CFG.vocab_size) for fn, call in _TRAINING.items()],
+    *[(f"{fn}.labels", lambda v, call=call: call(TOKENS, v), "labels", LABELS.shape,
+       TOY_CFG.n_classes) for fn, call in _TRAINING.items()],
+]
+
 REAL_PARAMS = [
     *_fields(InitConfig(), ("epsilon", "sigma")),
     ("sgd_step.eta", lambda v: sgd_step(ADAPTER, [np.zeros((2, 2))] * 3, v), "eta",
@@ -132,6 +153,41 @@ def test_bad_array_raises_validation_error_naming_it(call, name, shape):
     for bad in _not_real(shape):
         with pytest.raises(ValidationError, match=rf"^{name} must be an array of real numbers"):
             call(bad)
+
+
+def _bad_ids(shape, high):
+    """(case, ids that ``shape`` and ``high`` refuse, start of the message after the name)."""
+    wrong = "must have shape "
+    return [
+        ("ragged", [[0], [0, 0]], "must be an array of integers"),
+        *[(dtype.__name__, np.zeros(shape, dtype=dtype), "must be an array of integers: got dtype")
+          for dtype in (bool, float, complex, str)],
+        ("string", "abc", "must be an array of integers: got dtype"),
+        ("wrong_shape", np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=np.int64), wrong),
+        ("no_axis", np.int64(0), wrong),
+        ("empty_batch", np.zeros((0,) + shape[1:], dtype=np.int64), wrong),
+        ("below_0", np.full(shape, -1), f"must lie in [0, {high}), got range [-1, -1]"),
+        ("at_high", np.full(shape, high), f"must lie in [0, {high}), got range [{high}, {high}]"),
+    ]
+
+
+@pytest.mark.parametrize("call,name,bad,message", [
+    pytest.param(call, name, bad, message, id=f"{pid}-{case}")
+    for pid, call, name, shape, high in ID_PARAMS
+    for case, bad, message in _bad_ids(shape, high)
+])
+def test_bad_ids_raise_validation_error_naming_them(call, name, bad, message):
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{name} {message}")
+
+
+@pytest.mark.parametrize("call,shape,high", [
+    pytest.param(call, shape, high, id=pid) for pid, call, _, shape, high in ID_PARAMS
+])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+def test_ids_of_any_integer_dtype_up_to_the_bound_are_accepted(call, shape, high, dtype):
+    call(np.full(shape, high - 1, dtype=dtype))
 
 
 @pytest.mark.parametrize("call,name,ndim", [

@@ -27,11 +27,13 @@ def test_only_errors_applies_the_argument_policy():
 
 
 def test_only_check_array_compares_array_shapes():
-    # array arguments get their shape checked by tensor.check_array; sgd_step
-    # keeps its own check, since a non-finite gradient is a DivergenceError
+    # array arguments get their dtype and shape checked by one tensor helper,
+    # shared by check_array, check_ids and sgd_step's gradients (a non-finite
+    # gradient stays sgd_step's own DivergenceError); cli compares layer counts
+    # of files it has read, a file-format check, so it is not scanned
     package = Path(craft.__file__).parent
-    checkers = set()
-    for module in ("tensor", "tucker", "adapter", "analysis"):
+    checkers, converters = set(), set()
+    for module in ("tensor", "tucker", "adapter", "analysis", "toy"):
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
@@ -42,7 +44,11 @@ def test_only_check_array_compares_array_shapes():
                                 for n in ast.walk(node.test))
                         and any(isinstance(n, ast.Raise) for n in node.body)):
                     checkers.add(f"{module}.{fn.name}")
-    assert checkers == {"tensor.check_array", "adapter.sgd_step"}
+                if (module == "toy" and isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "asarray"):
+                    converters.add(f"{module}.{fn.name}")
+    assert checkers == {"tensor._array"}
+    assert converters == set()  # the toy's token and label ids go through check_ids
 
 
 def _is_q_or_v(node) -> bool:

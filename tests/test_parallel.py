@@ -187,6 +187,41 @@ def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas
     assert blas_at_two() == 2
 
 
+def test_an_interrupted_join_still_joins_every_worker(monkeypatch, blas_at_two):
+    """A KeyboardInterrupt that cuts the calling thread's first join short,
+    while the worker is still busy, reaches the caller only after that worker
+    is joined; its chunk ran under one OpenBLAS thread and the count is put
+    back after it."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    before = set(threading.enumerate())
+    join, joins, release, seen = threading.Thread.join, [], threading.Event(), []
+
+    def interrupted_once(thread, timeout=None):
+        joins.append(thread)
+        if len(joins) == 1:
+            raise KeyboardInterrupt  # neither waits nor joins
+        release.set()
+        join(thread, timeout)
+
+    def work(start, stop):
+        if start:  # chunk 1, on the worker: busy until the second join
+            release.wait(10.0)
+        seen.append(blas_at_two())
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_once)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            parallel.chunked(2 * CHUNK, CHUNK, work)
+        left = set(threading.enumerate()) - before
+    finally:
+        release.set()
+        for thread in set(threading.enumerate()) - before:
+            join(thread, 10.0)
+    assert left == set()
+    assert seen == [1, 1]
+    assert blas_at_two() == 2
+
+
 def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
     """Where numpy's BLAS exports no OpenBLAS thread calls (MKL, BLIS,
     Accelerate) the toy imports with one worker and ``hosvd`` forks no child
@@ -242,13 +277,20 @@ def test_a_worker_that_fails_to_start_leaves_no_thread_running(monkeypatch, blas
 
 
 def test_chunked_only_carries_a_chunks_error_back_to_the_caller():
-    """``chunked`` has one handler, in its worker: it keeps what a chunk
-    raised for the calling thread, which raises it again (the tests above
-    check which), and itself calls and raises nothing."""
+    """``chunked`` has two handlers, neither of which itself calls or raises
+    anything.  The worker's keeps what a chunk raised for the calling
+    thread, which raises it again (the tests above check which).  The join's,
+    in the loop over the threads, keeps an interrupt that the loop's end raises."""
     tree = ast.parse(Path(parallel.__file__).read_text(encoding="utf-8"))
     chunked = next(fn for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef) and fn.name == "chunked")
     handlers = [node for node in ast.walk(chunked) if isinstance(node, ast.ExceptHandler)]
-    assert [ast.unparse(handler.type) for handler in handlers] == ["BaseException"]
-    assert not [node for stmt in handlers[0].body for node in ast.walk(stmt)
+    assert [ast.unparse(handler.type) for handler in handlers] == ["BaseException"] * 2
+    assert not [node for handler in handlers for stmt in handler.body for node in ast.walk(stmt)
                 if isinstance(node, (ast.Call, ast.Raise))]
+    *_, loop, last = next(node.finalbody for node in ast.walk(chunked)
+                          if isinstance(node, ast.Try) and node.finalbody)
+    joins = [handler for handler in handlers if handler in list(ast.walk(loop))]
+    assert isinstance(loop, ast.For) and len(joins) == 1
+    kept = ast.unparse(joins[0].body[0].targets[0])
+    assert ast.unparse(last) == f"if {kept}:\n    raise {kept}"

@@ -17,6 +17,7 @@ import numpy as np
 
 from craft.adapter import grad_j, sgd_step
 from craft.errors import DivergenceError
+from craft.tensor import check_ids
 from craft.toy import (
     BACKBONE,
     CHUNK,
@@ -24,8 +25,6 @@ from craft.toy import (
     PROJECTIONS,
     ToyModel,
     _Buffers,
-    _check_batch,
-    _check_tokens,
     _derived_seeds,
     _forward,
     cross_entropy,
@@ -48,7 +47,7 @@ def reference_softmax_rows(scores):
 
 
 def reference_forward(model, tokens):
-    tok = _check_tokens(model, tokens)
+    tok = check_ids(tokens, "tokens", (None, model.cfg.seq_len), model.cfg.vocab_size)
     inv_sqrt_d = 1.0 / np.sqrt(model.cfg.d_model)
     wq_eff, wv_eff = model.effective_qv()
     x = model.embeddings[tok]
@@ -114,7 +113,8 @@ def unaliased_loss_and_grads(model, tokens, labels):
     ``CHUNK`` sequences, one fresh array for each backward value; the chunks
     run in order on the calling thread and the embedding gradient is
     ``np.add.at`` over ``dx``."""
-    tok, labels = _check_batch(model, tokens, labels)
+    tok = check_ids(tokens, "tokens", (None, model.cfg.seq_len), model.cfg.vocab_size)
+    labels = check_ids(labels, "labels", (len(tok),), model.cfg.n_classes)
     buf = _Buffers(model.cfg, len(tok), backward=True)
     qv = model.effective_qv()
     pooled = _forward(model, tok, buf, qv)
