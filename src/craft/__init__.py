@@ -22,7 +22,6 @@ from .tucker import (
     TuckerFactors,
     TuckerRanks,
     approximation_error,
-    compression_counts,
     hosvd,
     reconstruct,
 )
@@ -36,14 +35,7 @@ from .adapter import (
     sgd_step,
     trainable_param_count,
 )
-from .analysis import (
-    DispersionReport,
-    ScalingTable,
-    StorageReport,
-    dispersion,
-    param_scaling,
-    storage_report,
-)
+from .analysis import compression_counts, dispersion, param_scaling
 from .toy import (
     SyntheticTask,
     ToyConfig,
@@ -70,8 +62,7 @@ __all__ = [
     "approximation_error", "compression_counts",
     "InitConfig", "CraftAdapter", "init_adapter", "adapted_tensor",
     "extract_layer", "grad_j", "sgd_step", "trainable_param_count",
-    "DispersionReport", "ScalingTable", "StorageReport", "dispersion",
-    "param_scaling", "storage_report",
+    "dispersion", "param_scaling",
     "ToyConfig", "ToyModel", "SyntheticTask", "forward", "pretrain",
     "build_adapters", "craft_finetune", "head_only_finetune", "evaluate",
     "make_dataset",

@@ -1,5 +1,9 @@
-"""Analytical instruments: row-dispersion PCA, parameter-scaling tables,
-and storage-savings accounting.
+"""Analytical instruments: row-dispersion PCA and every parameter count.
+
+Trainable counts per method, their scaling over layer counts, and dense vs.
+decomposed storage are all counted here; the ``J`` matrices are counted
+only by :func:`craft.adapter.trainable_param_count`.  Results are plain
+tuples of frozen rows.
 
 Dispersion pools the raw rows of the Q, K and V matrices of one layer (no
 per-row variance normalization), centers them on the pooled mean, projects
@@ -19,8 +23,8 @@ import numpy as np
 from .adapter import trainable_param_count
 from .errors import ValidationError, check_int
 from .linalg import truncated_svd
-from .tensor import check_array
-from .tucker import TuckerRanks, compression_counts
+from .tensor import check_array, check_dims
+from .tucker import TuckerRanks
 
 PROJECTIONS = ("Q", "K", "V")
 SCALING_METHODS = ("full", "lora", "pissa", "lotr", "craft")
@@ -36,13 +40,8 @@ class LayerDispersion:
     basis: np.ndarray  # (d_in, k), orthonormal columns
 
 
-@dataclass(frozen=True)
-class DispersionReport:
-    k: int
-    layers: tuple
-
-
-def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> DispersionReport:
+def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]],
+               k: int) -> tuple[LayerDispersion, ...]:
     """Per-layer, per-projection row dispersion over the top-``k`` principal components.
 
     ``layer_weights`` is one mapping per layer with keys "Q", "K", "V"; all
@@ -87,7 +86,7 @@ def dispersion(layer_weights: Sequence[Mapping[str, np.ndarray]], k: int) -> Dis
             explained_variance_ratio=min(ratio, 1.0),
             pooled_mean=mean, basis=basis,
         ))
-    return DispersionReport(k=k, layers=tuple(reports))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,6 @@ class ScalingRow:
     d: int
     rank_label: str
     params: int
-
-
-@dataclass(frozen=True)
-class ScalingTable:
-    rows: tuple
 
 
 def method_param_count(
@@ -139,7 +133,7 @@ def param_scaling(
     craft_ranks: TuckerRanks,
     lora_rank: int = 8,
     n_projections: int = 2,
-) -> ScalingTable:
+) -> tuple[ScalingRow, ...]:
     """Closed-form trainable-parameter counts over a grid of layer counts."""
     for m in methods:
         if m not in SCALING_METHODS:
@@ -161,37 +155,21 @@ def param_scaling(
                 params=method_param_count(method, n_layers, d, craft_ranks,
                                           lora_rank, n_projections),
             ))
-    return ScalingTable(rows=tuple(rows))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class StorageReport:
-    dims: tuple
-    ranks: tuple
-    n_projections: int
-    dense_per_projection: int
-    factor_per_projection: int
-    dense_total: int
-    factor_total: int
-    ratio: float
-    saves_storage: bool
+def compression_counts(dims, ranks: TuckerRanks) -> tuple[int, int]:
+    """Scalar counts for dense storage vs. the decomposition-plus-adaptation bundle.
 
-
-def storage_report(dims, ranks: TuckerRanks, n_projections: int = 2) -> StorageReport:
-    """Dense vs. decomposed parameter counts, totalled over projection types.
-
-    A deployment-time figure: training also holds the original tensor.
+    The factor side counts the three factor matrices, the core tensor, and
+    the three square adaptation matrices that ride along with a deployed
+    decomposition.  A deployment-time figure: training also holds the
+    original tensor.
     """
-    n_projections = check_int(n_projections, "n_projections")
-    dense, factor = compression_counts(dims, ranks)
-    return StorageReport(
-        dims=tuple(int(d) for d in dims),
-        ranks=ranks.as_tuple(),
-        n_projections=n_projections,
-        dense_per_projection=dense,
-        factor_per_projection=factor,
-        dense_total=n_projections * dense,
-        factor_total=n_projections * factor,
-        ratio=dense / factor,
-        saves_storage=factor < dense,
-    )
+    dims = check_dims(dims)
+    ranks.validate_for(dims)
+    r1, r2, r3 = ranks.as_tuple()
+    dense = dims[0] * dims[1] * dims[2]
+    factor = (dims[0] * r1 + dims[1] * r2 + dims[2] * r3 + r1 * r2 * r3
+              + trainable_param_count(ranks, 1))
+    return dense, factor

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import serialization as ser
-from .analysis import PROJECTIONS as QKV, SCALING_METHODS, dispersion, param_scaling
+from .analysis import (PROJECTIONS as QKV, SCALING_METHODS, compression_counts,
+                       dispersion, param_scaling)
 from .config import load_run_config
 from .errors import ConfigError, CraftError, FormatError
 from .tensor import stack_layers
@@ -27,7 +28,7 @@ from .toy import (
     make_dataset,
     pretrain,
 )
-from .tucker import TuckerRanks, approximation_error, compression_counts, hosvd, reconstruct
+from .tucker import TuckerRanks, approximation_error, hosvd, reconstruct
 from .adapter import trainable_param_count
 
 def _fmt(x: float) -> str:
@@ -208,7 +209,7 @@ def _cmd_analyze(args) -> int:
         "# rows pooled raw per layer (no per-row variance normalization)",
         "# fields: layer alpha k sigma explained_variance_ratio",
     ]
-    for layer in report.layers:
+    for layer in report:
         for alpha in QKV:
             lines.append(
                 f"layer={layer.layer} alpha={alpha} k={layer.k} "
@@ -218,7 +219,7 @@ def _cmd_analyze(args) -> int:
     _write_text(args.output, "".join(line + "\n" for line in lines))
 
     print(f"{'layer':>5} {'alpha':>5} {'sigma':>12} {'evr':>8}")
-    for layer in report.layers:
+    for layer in report:
         for alpha in QKV:
             print(f"{layer.layer:>5} {alpha:>5} {layer.sigma[alpha]:>12.6f} "
                   f"{layer.explained_variance_ratio:>8.4f}")
@@ -235,7 +236,7 @@ def _cmd_scaling(args) -> int:
         lora_rank=args.lora_rank, n_projections=args.projections,
     )
     lines = ["# fields: method n_layers d rank params"]
-    for row in table.rows:
+    for row in table:
         lines.append(
             f"method={row.method} n_layers={row.n_layers} d={row.d} "
             f"rank={row.rank_label} params={row.params}"
@@ -243,7 +244,7 @@ def _cmd_scaling(args) -> int:
     _write_text(args.out, "".join(line + "\n" for line in lines))
 
     print(f"{'method':>8} {'layers':>7} {'d':>6} {'rank':>14} {'params':>12}")
-    for row in table.rows:
+    for row in table:
         print(f"{row.method:>8} {row.n_layers:>7} {row.d:>6} "
               f"{row.rank_label:>14} {row.params:>12}")
     print(f"wrote {args.out}")

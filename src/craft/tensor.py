@@ -46,19 +46,19 @@ _MODE_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
 BAND = 100
 
 
-def _array(data, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """``data`` as a ``dtype`` (float64 or int64) array of ``shape``, finite or
-    not, else ``ValidationError`` naming it (the module docstring's rule).
+def _array(data, name: str, shape, ids: bool = False) -> np.ndarray:
+    """``data`` as a float64 array, or with ``ids`` an integer array of its own
+    dtype, of ``shape``, finite or not, else ``ValidationError`` naming it (the
+    module docstring's rule).
 
     ``shape`` has one entry per axis: an exact extent, or ``None`` for any
     extent >= 1.
     """
-    ids = dtype is np.int64
     try:
         arr = np.asarray(data)
         if (arr.dtype.kind not in "iu") if ids else (arr.dtype.kind in "bcSU"):
             raise TypeError(f"got dtype {arr.dtype}")
-        arr = arr.astype(dtype, copy=False)
+        arr = arr if ids else arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as err:  # a ragged list too
         what = "integers" if ids else "real numbers"
         raise ValidationError(f"{name} must be an array of {what}: {err}") from None
@@ -81,11 +81,12 @@ def check_array(data, name: str, shape) -> np.ndarray:
 def check_ids(data, name: str, shape, high: int) -> np.ndarray:
     """``data`` as an int64 array of ``shape`` (as for :func:`_array`) with
     every entry in ``[0, high)``, else ``ValidationError`` naming it."""
-    arr = _array(data, name, shape, np.int64)
-    if arr.min() < 0 or arr.max() >= high:
-        raise ValidationError(
-            f"{name} must lie in [0, {high}), got range [{arr.min()}, {arr.max()}]")
-    return arr
+    arr = _array(data, name, shape, ids=True)
+    # in the input's own dtype, so a uint64 id past int64 is reported as given
+    low, top = arr.min(), arr.max()
+    if low < 0 or top >= high:
+        raise ValidationError(f"{name} must lie in [0, {high}), got range [{low}, {top}]")
+    return arr.astype(np.int64, copy=False)
 
 
 def is_immutable(arr: np.ndarray) -> bool:

@@ -54,7 +54,8 @@ from .tucker import TuckerRanks
 TASK_RULES = ("majority", "majority_flip")
 PROJECTIONS = {"Q": "wq", "V": "wv"}
 BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
-PARAMS = BACKBONE + ("head_w", "head_b")
+HEAD = ("head_w", "head_b")
+PARAMS = BACKBONE + HEAD
 # sequences per chunk; a batch splits at multiples of it, whatever the CPU count
 CHUNK = 128
 # pretraining evaluates its model every this many steps
@@ -404,9 +405,22 @@ def _evaluate(model: ToyModel, tok: np.ndarray, labels: np.ndarray, buf: _Buffer
     return float(np.mean(preds == labels))
 
 
+def _descend(model: ToyModel, names, grads, eta: float, step: int, stage: str) -> None:
+    """``param -= eta * grads[name]`` in place for each named parameter of ``model``; a
+    non-finite result raises :class:`DivergenceError` with ``step``, as ``sgd_step`` does."""
+    for name in names:
+        param = getattr(model, name)
+        param -= eta * grads[name]
+        if not np.isfinite(param).all():
+            raise DivergenceError(
+                f"{stage} diverged: update of {name} contains non-finite entries", step=step)
+
+
 def _derived_seeds(seed: int) -> dict[str, int]:
-    words = np.random.SeedSequence(seed).generate_state(3)
-    return {"model": int(words[0]), "adapter_q": int(words[1]), "adapter_v": int(words[2])}
+    """The model's seed, then one per ``PROJECTIONS`` entry, in its order."""
+    words = np.random.SeedSequence(seed).generate_state(1 + len(PROJECTIONS))
+    return {"model": int(words[0]), **{f"adapter_{name.lower()}": int(word)
+                                       for name, word in zip(PROJECTIONS, words[1:])}}
 
 
 def pretrain(
@@ -418,7 +432,8 @@ def pretrain(
 ) -> ToyModel:
     """Full-batch gradient descent on every parameter until ``target_acc``.
 
-    Raises :class:`PretrainError` when the final eval accuracy is below 0.75.
+    Raises :class:`PretrainError` when the final eval accuracy is below 0.75,
+    and :class:`DivergenceError` with its step for a non-finite loss or update.
     The returned model carries the loss curve in ``model.pretrain_losses``.
     """
     eta = check_real(eta, "eta")
@@ -437,9 +452,7 @@ def pretrain(
         if not np.isfinite(loss):
             raise DivergenceError("pretraining loss became non-finite", step=step)
         losses.append(loss)
-        for name in PARAMS:
-            arr = getattr(model, name)
-            arr -= eta * g[name]
+        _descend(model, PARAMS, g, eta, step, "pretraining")
         acc = None
         if (step + 1) % EVAL_EVERY == 0:
             acc = _evaluate(model, eval_tokens, eval_labels, buf)
@@ -519,8 +532,7 @@ def craft_finetune(
         except (ValidationError, DivergenceError) as err:
             raise DivergenceError(f"fine-tuning diverged: {err}", step=step) from err
         losses.append(loss)
-        tuned.head_w -= head_eta * g["head_w"]
-        tuned.head_b -= head_eta * g["head_b"]
+        _descend(tuned, HEAD, g, head_eta, step, "fine-tuning")
     return tuned, losses
 
 
@@ -535,7 +547,8 @@ def head_only_finetune(
 
     ``tokens, labels`` is the training set :func:`craft_finetune` gets.  Only
     the head trains, so the pooled features are computed once and the steps
-    run logistic regression on them.
+    run logistic regression on them.  A non-finite loss or update raises
+    :class:`DivergenceError` with its step.
     """
     eta = check_real(eta, "eta")
     steps = check_int(steps, "steps", low=0)
@@ -548,6 +561,6 @@ def head_only_finetune(
         if not np.isfinite(loss):
             raise DivergenceError("fine-tuning diverged: loss became non-finite", step=step)
         losses.append(loss)
-        tuned.head_w -= eta * (pooled.T @ dlogits)
-        tuned.head_b -= eta * dlogits.sum(axis=0)
+        _descend(tuned, HEAD, {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0)},
+                 eta, step, "fine-tuning")
     return tuned, losses

@@ -9,7 +9,8 @@ solves the mode-3 unfolding while this process solves modes 1 and 2 (see
 :func:`hosvd`); the results are the same bytes.
 ``TuckerFactors`` freezes its arrays (read-only buffers inside a frozen
 dataclass) because an adapter applies its trained delta to exactly these
-factors for the rest of training.
+factors for the rest of training.  Parameter counts live in
+:mod:`craft.analysis`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import parallel
 from .errors import ConvergenceError, RankError, ValidationError, check_int
 from .linalg import TruncatedSVD, truncated_svd
-from .tensor import check_array, check_dims, frobenius_norm, frozen_array, mode_n_product, unfold
+from .tensor import check_array, frobenius_norm, frozen_array, mode_n_product, unfold
 
 ORTHONORMALITY_TOL = 1e-10
 # a child solves the mode-3 unfolding only above this many rows.  On a 2-CPU
@@ -156,23 +157,3 @@ def approximation_error(w, f: TuckerFactors) -> tuple[float, float]:
     denom = frobenius_norm(arr)
     return absolute, (absolute / denom if denom > 0.0 else 0.0)
 
-
-def compression_counts(dims, ranks: TuckerRanks) -> tuple[int, int]:
-    """Scalar counts for dense storage vs. the decomposition-plus-adaptation bundle.
-
-    The factor side counts the three factor matrices, the core tensor, and
-    the three square adaptation matrices that ride along with a deployed
-    decomposition.
-    """
-    dims = check_dims(dims)
-    ranks.validate_for(dims)
-    r1, r2, r3 = ranks.as_tuple()
-    dense = dims[0] * dims[1] * dims[2]
-    factor = (
-        dims[0] * r1
-        + dims[1] * r2
-        + dims[2] * r3
-        + r1 * r2 * r3
-        + (r1 * r1 + r2 * r2 + r3 * r3)
-    )
-    return dense, factor

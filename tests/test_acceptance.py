@@ -19,7 +19,7 @@ from craft.adapter import (
     init_adapter,
     trainable_param_count,
 )
-from craft.analysis import dispersion, param_scaling
+from craft.analysis import compression_counts, dispersion, param_scaling
 from craft.cli import main
 from craft.errors import FormatError
 from craft.serialization import (
@@ -45,7 +45,7 @@ from craft.toy import (
     make_dataset,
     pretrain,
 )
-from craft.tucker import TuckerRanks, approximation_error, compression_counts, hosvd
+from craft.tucker import TuckerRanks, approximation_error, hosvd
 from helpers import radius_construction
 
 # locked-seed configuration recorded during bring-up: pretrain stops just
@@ -196,8 +196,8 @@ def test_criterion_4_parameter_counts():
     lora_linear = True
     for d in (768, 1024, 4096):
         table = param_scaling(["craft", "lora"], layer_grid, d, ranks, lora_rank=8)
-        craft_rows = {r.n_layers: r.params for r in table.rows if r.method == "craft"}
-        lora_rows = {r.n_layers: r.params for r in table.rows if r.method == "lora"}
+        craft_rows = {r.n_layers: r.params for r in table if r.method == "craft"}
+        lora_rows = {r.n_layers: r.params for r in table if r.method == "lora"}
         craft_constant &= set(craft_rows.values()) == {41_152}
         slope = lora_rows[12] // 12
         lora_linear &= all(lora_rows[n] == slope * n for n in layer_grid)
@@ -245,7 +245,7 @@ def test_criterion_6_dispersion_instrument():
     oracle_ok = True
     for _ in range(10):
         mats = {name: rng.standard_normal((7, 6)) for name in ("Q", "K", "V")}
-        layer = dispersion([mats], k=3).layers[0]
+        layer = dispersion([mats], k=3)[0]
         for name in ("Q", "K", "V"):
             total = 0.0
             for row in mats[name]:
@@ -254,7 +254,7 @@ def test_criterion_6_dispersion_instrument():
             oracle = np.sqrt(total / mats[name].shape[0])
             oracle_ok &= abs(layer.sigma[name] - oracle) <= 1e-10 * max(oracle, 1.0)
 
-    layer = dispersion([radius_construction()], k=2).layers[0]
+    layer = dispersion([radius_construction()], k=2)[0]
     ordering_ok = (layer.sigma["Q"] > layer.sigma["K"]
                    and layer.sigma["Q"] > layer.sigma["V"])
     _report(6, "dispersion matches its per-row oracle and ordering",

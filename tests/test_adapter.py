@@ -347,6 +347,14 @@ def test_sgd_step_rejects_non_finite_gradients():
         sgd_step(a, (g1, g2, g3), np.inf)
 
 
+def test_sgd_step_rejects_a_gradient_count_other_than_three():
+    rng = np.random.default_rng(25)
+    a, _ = random_adapter(rng)
+    g1, g2, _ = grad_j(a, rng.standard_normal(a.dims))
+    with pytest.raises(ValidationError, match="^expected three gradient matrices, got 2$"):
+        sgd_step(a, (g1, g2), 0.1)
+
+
 @pytest.mark.parametrize("make", [
     lambda g: g * 1j, lambda g: g > 0, lambda g: g.astype(str), lambda g: [[0.0], [0.0, 0.0]],
 ], ids=["complex", "bool", "str", "ragged"])

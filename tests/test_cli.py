@@ -112,6 +112,23 @@ def test_decompose_bad_ranks_string_exits_2(tensor_file, tmp_path):
     assert code == 2
 
 
+def test_decompose_non_integer_rank_exits_2(tensor_file, tmp_path, capsys):
+    code = main(["decompose", "--input", str(tensor_file), "--ranks", "4,x,16",
+                 "--output", str(tmp_path / "f.crft")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --ranks must be integers (got '4,x,16')")
+
+
+def test_decompose_mixed_tensor_and_matrix_inputs_exit_2(tensor_file, tmp_path, capsys):
+    matrix = tmp_path / "m.crft"
+    write_matrix(matrix, np.ones((6, 6)))
+    code = main(["decompose", "--input", str(tensor_file), str(matrix), "--ranks", "1,1,1",
+                 "--output", str(tmp_path / "f.crft")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: decompose input must be one Tensor3 file or a list of Matrix files")
+
+
 def test_analyze_radius_construction(tmp_path, capsys):
     layers = [radius_construction(seed=s) for s in (0, 1)]
     stacks = {name: stack_layers([layer[name] for layer in layers])
@@ -156,6 +173,18 @@ def test_analyze_wrong_file_count_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_stacks_of_different_depths_exit_2(tmp_path, capsys):
+    paths = []
+    for name, layers in (("q", 2), ("k", 1), ("v", 1)):
+        paths.append(str(tmp_path / f"{name}.crft"))
+        write_tensor3(paths[-1], np.ones((layers, 3, 3)))
+    code = main(["analyze", "--weights", *paths, "--k", "1",
+                 "--output", str(tmp_path / "d.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: Q, K, V stacks disagree on the layer count")
+
+
 def test_scaling_craft_rows_constant(tmp_path, capsys):
     out = tmp_path / "scale.txt"
     code = main(["scaling", "--d", "1024", "--layers", "12,24,48,72,96",
@@ -181,6 +210,13 @@ def test_scaling_empty_layer_list(tmp_path):
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert rows == []
+
+
+def test_scaling_non_integer_layer_count_exits_2(tmp_path, capsys):
+    code = main(["scaling", "--d", "768", "--layers", "12,x", "--out", str(tmp_path / "s.txt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: expected a comma-separated integer list (got '12,x')")
 
 
 def test_train_toy_pipeline_and_summary(tmp_path, capsys):

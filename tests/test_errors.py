@@ -5,14 +5,14 @@ import pytest
 
 from craft.adapter import (InitConfig, extract_layer, grad_j, init_adapter, sgd_step,
                            trainable_param_count)
-from craft.analysis import dispersion, param_scaling, storage_report
+from craft.analysis import compression_counts, dispersion, param_scaling
 from craft.errors import RankError, ValidationError, check_int, check_real
 from craft.linalg import truncated_svd
 from craft.serialization import write_matrix, write_tensor3
 from craft.tensor import fold, frobenius_norm, mode_n_product, stack_layers, unfold
 from craft.toy import (SyntheticTask, ToyConfig, ToyModel, build_adapters, craft_finetune,
                        evaluate, forward, head_only_finetune, loss_and_grads)
-from craft.tucker import TuckerRanks, approximation_error, compression_counts, hosvd
+from craft.tucker import TuckerRanks, approximation_error, hosvd
 from helpers import radius_construction
 
 RANKS = TuckerRanks(2, 2, 2)
@@ -45,9 +45,6 @@ INTEGER_PARAMS = [
     ("param_scaling.n_projections",
      lambda v: param_scaling(["lora"], [2], 4, RANKS, n_projections=v),
      "n_projections", ValidationError),
-    ("storage_report.n_projections", lambda v: storage_report((4, 4, 4), RANKS, v),
-     "n_projections", ValidationError),
-    ("storage_report.dims", lambda v: storage_report((4, v, 4), RANKS), "dims", ValidationError),
     ("dispersion.k", lambda v: dispersion([radius_construction()], v), "k", ValidationError),
     ("fold.dims", lambda v: fold(np.zeros((2, 12)), 1, (v, 3, 4)), "dims", ValidationError),
     ("compression_counts.dims", lambda v: compression_counts((4, 4, v), RANKS), "dims",
@@ -168,6 +165,8 @@ def _bad_ids(shape, high):
         ("empty_batch", np.zeros((0,) + shape[1:], dtype=np.int64), wrong),
         ("below_0", np.full(shape, -1), f"must lie in [0, {high}), got range [-1, -1]"),
         ("at_high", np.full(shape, high), f"must lie in [0, {high}), got range [{high}, {high}]"),
+        ("uint64_past_int64", np.full(shape, 2**63, dtype=np.uint64),
+         f"must lie in [0, {high}), got range [{2**63}, {2**63}]"),
     ]
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import craft
@@ -128,3 +129,30 @@ def test_only_parallel_decides_how_work_runs_in_parallel():
                 & set(_identifiers(ast.parse(text)))):
             deciders.add(path.name)
     assert deciders == {"parallel.py"}
+
+
+def _tucker_rank(node):
+    """``r1`` for ``r1`` or ``ranks.r1`` (any ``r<digit>`` name), else None."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name and re.fullmatch(r"r\d", name) else None
+
+
+def test_only_trainable_param_count_counts_the_j_matrices():
+    # a J matrix is r_n x r_n, so squaring a Tucker rank counts one; every
+    # other count (storage, the scaling table) takes it from trainable_param_count
+    package = Path(craft.__file__).parent
+    squarers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.BinOp) or _tucker_rank(node.left) is None:
+                    continue
+                if ((isinstance(node.op, ast.Mult)
+                     and _tucker_rank(node.right) == _tucker_rank(node.left))
+                        or (isinstance(node.op, ast.Pow)
+                            and getattr(node.right, "value", None) == 2)):
+                    squarers.add(f"{path.stem}.{fn.name}")
+    assert squarers == {"adapter.trainable_param_count"}

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,8 +16,10 @@ from craft import serialization
 from craft.adapter import CraftAdapter, InitConfig, init_adapter, sgd_step
 from craft.errors import FormatError
 from craft.serialization import (
+    FORMAT_VERSION,
     KIND_CRAFT_ADAPTER,
     KIND_TENSOR3,
+    KIND_TUCKER_FACTORS,
     crc64,
     read_craft_adapter,
     read_file,
@@ -507,6 +510,22 @@ def test_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "inf.crft"
     path.write_bytes(body + struct.pack("<Q", crc64(body)))
     with pytest.raises(FormatError, match="non-finite"):
+        read_file(path)
+
+
+@pytest.mark.parametrize("kind,extents,payload,message", [
+    (KIND_TUCKER_FACTORS, (2, 2), b"", "truncated header"),
+    (KIND_TENSOR3, (1, 1, 1), bytes(12), "payload length 12 not a multiple of 8"),
+    (KIND_TUCKER_FACTORS, (2, 2, 2, 3, 1, 1), bytes(8 * 13),
+     r"ranks \(3, 1, 1\) exceed dims \(2, 2, 2\)"),
+], ids=["header-cut-in-extents", "payload-not-whole-floats", "ranks-exceed-dims"])
+def test_malformed_file_under_a_valid_checksum_is_rejected(tmp_path, kind, extents, payload,
+                                                           message):
+    body = b"CRFT" + struct.pack(f"<HBB{len(extents)}Q", FORMAT_VERSION, kind, 1, *extents)
+    body += payload
+    path = tmp_path / "x.crft"
+    path.write_bytes(body + struct.pack("<Q", crc64(body)))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}"):
         read_file(path)
 
 

@@ -59,6 +59,11 @@ def test_dataset_deterministic_and_split_independent():
     assert not np.array_equal(t1[: len(te)], te)
 
 
+def test_dataset_rejects_an_unknown_split():
+    with pytest.raises(ValidationError, match="^split must be 'train' or 'eval', got 'test'$"):
+        make_dataset(SyntheticTask(), ToyConfig(), "test")
+
+
 def test_flipped_task_inverts_labels_only():
     cfg = ToyConfig()
     task = SyntheticTask(seed=4)
@@ -332,6 +337,14 @@ def test_unknown_projection_is_rejected():
         craft_finetune(m, foreign, *SMALL_TRAIN, eta=0.1, steps=1)
 
 
+def test_a_projection_added_to_the_table_gets_an_adapter(monkeypatch):
+    # the adapter seeds follow toy.PROJECTIONS, so a new entry needs no other edit
+    monkeypatch.setattr(toy, "PROJECTIONS", {**toy.PROJECTIONS, "K": "wk"})
+    m = small_model()
+    adapters = build_adapters(m, TuckerRanks(1, 2, 2), projections=("K",))
+    assert np.array_equal(adapters["K"].w_original, m.wk)
+
+
 def test_head_only_finetune_updates_only_head():
     task = SyntheticTask(seed=5, train_size=64, eval_size=64)
     m = pretrain(ToyConfig(seed=5), task, max_steps=60)
@@ -419,6 +432,48 @@ def test_overflow_reaching_grad_j_is_reported_with_step():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
         craft_finetune(m, adapters, *train, eta=1e4, steps=20)
     assert isinstance(excinfo.value.step, int)
+
+
+@pytest.fixture(scope="module")
+def loud_model():
+    """A pretrained model whose large embeddings give head gradients up to
+    about 1.6e3, so a head step of 1e308 overflows at once."""
+    task = SyntheticTask(seed=0, train_size=64, eval_size=64)
+    m = pretrain(ToyConfig(seed=0), task, max_steps=40)
+    m.embeddings *= 1e3
+    return m, train_set(m, task)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("tune", ["craft", "head_only"])
+def test_overflowing_head_update_is_reported_at_its_step(loud_model, tune, steps):
+    m, train = loud_model
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as excinfo:
+        if tune == "craft":
+            craft_finetune(m, build_adapters(m, TuckerRanks(2, 4, 4)), *train, eta=0.0,
+                           steps=steps, head_eta=1e308)
+        else:
+            head_only_finetune(m, *train, eta=1e308, steps=steps)
+    assert excinfo.value.step == 0
+    assert str(excinfo.value) == ("fine-tuning diverged: update of head_w contains "
+                                  "non-finite entries (step 0)")
+
+
+def test_overflowing_pretrain_update_is_reported_at_its_step(monkeypatch):
+    real = toy._loss_and_grads
+
+    def overflowing(*args):
+        _, g = real(*args)
+        g["wk"][0, 0, 0] = 1e308  # finite, but eta times it is not
+        return 1.0, g
+
+    monkeypatch.setattr(toy, "_loss_and_grads", overflowing)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
+        pretrain(SMALL_CFG, SMALL_TASK, eta=10.0, max_steps=3)
+    assert excinfo.value.step == 0
+    assert str(excinfo.value) == ("pretraining diverged: update of wk contains "
+                                  "non-finite entries (step 0)")
 
 
 def test_pretrain_failure_is_explicit():

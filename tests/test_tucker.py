@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from craft import linalg, parallel, tucker
+from craft.analysis import compression_counts
 from craft.errors import ConvergenceError, RankError, ValidationError
 from craft.tensor import frobenius_norm, unfold
 from craft.tucker import (
     TuckerFactors,
     TuckerRanks,
     approximation_error,
-    compression_counts,
     hosvd,
     reconstruct,
 )
