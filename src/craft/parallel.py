@@ -6,8 +6,9 @@ Work runs in parallel only where ``WORKERS >= 2``: numpy's BLAS is OpenBLAS
 While it runs, OpenBLAS is held at one thread per call, process-wide, so
 workers do not wait on each other's BLAS threads; the count it found is put
 back however the work ends.  ``chunked`` runs a function over fixed chunks
-of a range on worker threads; ``forked`` runs one in a forked child and
-brings back its pickled value, and the child cannot outlive the caller.
+of a range on worker threads, telling it which worker runs each;
+``forked`` runs one in a forked child and brings back its pickled value,
+and the child cannot outlive the caller.
 """
 
 import contextlib
@@ -63,11 +64,13 @@ def _one_blas_thread():
 
 
 def chunked(n: int, size: int, work) -> list:
-    """``[work(start, stop) for each chunk of range(n)]``, run on worker threads.
+    """``[work(worker, start, stop) for each chunk of range(n)]``, run on worker threads.
 
     The chunks are ``size`` long, the last one partial.  The calling thread
-    works too, so ``min(chunks, WORKERS) - 1`` threads start, under the
-    OpenBLAS hold; each one that started is joined before this returns or
+    is worker 0, so ``min(chunks, WORKERS) - 1`` threads start, under the
+    OpenBLAS hold.  Chunk ``i`` runs on worker ``i % workers``, after that
+    worker's earlier chunks, so ``work`` may give each worker index its own
+    scratch.  Each thread that started is joined before this returns or
     raises, also when an interrupt cuts a join short.  Each worker runs
     under the caller's numpy error state and stops at its first failing
     chunk.  An interrupt (a ``BaseException`` that is no ``Exception``) is
@@ -77,11 +80,11 @@ def chunked(n: int, size: int, work) -> list:
     results, errors = [None] * len(bounds), [None] * len(bounds)
     workers, errstate = min(len(bounds), WORKERS), np.geterr()
 
-    def run(first: int):
+    def run(worker: int):
         with np.errstate(**errstate):
-            for i in range(first, len(bounds), workers):
+            for i in range(worker, len(bounds), workers):
                 try:
-                    results[i] = work(*bounds[i])
+                    results[i] = work(worker, *bounds[i])
                 except BaseException as err:
                     errors[i] = err
                     break  # the chunks this thread skips all come after this one
@@ -89,8 +92,8 @@ def chunked(n: int, size: int, work) -> list:
     threads = []
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
         try:
-            for first in range(1, workers):
-                thread = threading.Thread(target=run, args=(first,))
+            for worker in range(1, workers):
+                thread = threading.Thread(target=run, args=(worker,))
                 thread.start()
                 threads.append(thread)
             run(0)

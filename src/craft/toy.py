@@ -22,18 +22,21 @@ Token and label arrays are checked once, where they enter a public
 function, by :func:`craft.tensor.check_ids`, the package's one array policy.
 
 The backward pass is hand-derived for this fixed architecture and checked
-against central finite differences in the test suite.  Each training loop
-builds one set of activation buffers and writes every step into it, so steps
-allocate only small per-step arrays; the loop's evaluations run through the
-same set in passes of its batch.  The backward scratch holds only live
-values.  Forward-only calls run in passes of ``parallel.WORKERS * CHUNK``
-sequences, so their memory does not grow with the input.
+against central finite differences in the test suite.
 
-Each chunk of ``CHUNK`` sequences runs in its own rows of the buffers
-through :func:`craft.parallel.chunked` (the parallelism policy lives
-there); the calling thread does the head, the loss and the chunk-ordered
-sum of the weight gradients.  Chunks split at fixed boundaries, so results
-are the same bytes whatever the CPU or BLAS thread count.
+A batch splits into chunks of ``CHUNK`` sequences, run through
+:func:`craft.parallel.chunked` (the parallelism policy lives there), and
+each worker runs its chunks in its own ``CHUNK`` rows of one activation
+scratch.  A training step is one such parallel section: each chunk runs its
+forward pass, its rows' loss terms and its backward pass; the calling
+thread then takes the loss, the head gradients and the chunk-ordered sum of
+the other gradients.  Each training loop builds its scratch once, and its
+evaluations run through it; forward-only calls build a forward-only one.
+So activation memory is ``parallel.WORKERS * CHUNK`` rows whatever the
+train or eval size, and steps allocate only per-sequence rows and
+weight-sized partial gradients.  The backward scratch holds only live
+values.  Chunks split at fixed boundaries, so results are the same bytes
+whatever the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ BACKBONE = ("embeddings", "wq", "wk", "wv", "wo")
 HEAD = ("head_w", "head_b")
 PARAMS = BACKBONE + HEAD
 # sequences per chunk; a batch splits at multiples of it, whatever the CPU count
-CHUNK = 128
+CHUNK = 64
 # pretraining evaluates its model every this many steps
 EVAL_EVERY = 5
 
@@ -204,8 +207,10 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 class _Buffers:
     """Activations for up to ``batch`` sequences, overwritten in place by every pass.
 
-    Each array is batch-major after its layer axis, and :meth:`rows` views
-    the slice of a run of sequences, so each chunk works in its own rows.
+    Each array is batch-major after its layer axis.  A run over many
+    sequences works in a scratch from :func:`_scratch`, in which worker ``w``
+    of :func:`craft.parallel.chunked` runs each of its chunks in its own
+    ``CHUNK`` rows, viewed by :meth:`slot`.
     Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
     ``q``, ``k``, ``v`` and ``attn`` hold layer ``l`` in slot ``l % depth``.
     ``ctx`` holds one layer: the backward pass recomputes it from ``attn``
@@ -230,28 +235,28 @@ class _Buffers:
             self.dx, self.grad, self.d_v = (np.empty(acts) for _ in range(3))
             self.d_attn, self.tmp_attn = np.empty(scores), np.empty(scores)
 
-    def rows(self, start: int, stop: int) -> "_Buffers":
-        """These buffers restricted to sequences ``start:stop``; no copy."""
+    def slot(self, worker: int, batch: int) -> "_Buffers":
+        """The first ``batch`` of worker ``worker``'s ``CHUNK`` rows; no copy."""
+        start, stop = worker * CHUNK, worker * CHUNK + batch
         view = copy.copy(self)
-        view.batch = stop - start
+        view.batch = batch
         for name, arr in vars(self).items():
             if isinstance(arr, np.ndarray):
                 setattr(view, name, arr[:, start:stop] if name in self.LAYERED else arr[start:stop])
         return view
 
 
+def _scratch(cfg: ToyConfig, n: int, backward: bool) -> _Buffers:
+    """Buffers for chunked runs over at most ``n`` sequences: ``CHUNK`` rows
+    for each worker, so ``parallel.WORKERS * CHUNK`` rows whatever ``n``."""
+    return _Buffers(cfg, min(n, parallel.WORKERS * CHUNK), backward)
+
+
 def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers,
              qv: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Pooled features ``(len(tok), d)`` of validated ``tok``, at most ``buf.batch``
-    sequences, under the effective Q/V stacks ``qv``.  Each chunk runs on a
-    worker and writes its activations into its own rows of ``buf``."""
-    return np.concatenate(parallel.chunked(len(tok), CHUNK, lambda start, stop: _forward_rows(
-        model, tok[start:stop], buf.rows(start, stop), qv)))
-
-
-def _forward_rows(model: ToyModel, tok: np.ndarray, buf: _Buffers,
-                  qv: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Pooled features of one chunk ``tok``, which fills ``buf``."""
+    """Pooled features ``(len(tok), d)`` of validated ``tok``, exactly
+    ``buf.batch`` sequences, under the effective Q/V stacks ``qv``; the
+    activations fill ``buf``."""
     n_layers, d = model.cfg.n_layers, model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = qv
@@ -275,14 +280,13 @@ def _forward_rows(model: ToyModel, tok: np.ndarray, buf: _Buffers,
 
 
 def _pooled(model: ToyModel, tok: np.ndarray, buf: _Buffers | None) -> np.ndarray:
-    """Pooled features of validated ``tok``, run through ``buf`` in passes of
-    its batch; ``None`` builds forward-only buffers for one pass of
-    ``parallel.WORKERS * CHUNK`` sequences, a whole number of chunks."""
+    """Pooled features of validated ``tok``, each chunk run in its worker's
+    rows of ``buf``; ``None`` builds a forward-only scratch."""
     if buf is None:
-        buf = _Buffers(model.cfg, min(len(tok), parallel.WORKERS * CHUNK), backward=False)
+        buf = _scratch(model.cfg, len(tok), backward=False)
     qv = model.effective_qv()
-    return np.concatenate([_forward(model, tok[start:start + buf.batch], buf, qv)
-                           for start in range(0, len(tok), buf.batch)])
+    return np.concatenate(parallel.chunked(len(tok), CHUNK, lambda worker, start, stop: _forward(
+        model, tok[start:stop], buf.slot(worker, stop - start), qv)))
 
 
 def forward(model: ToyModel, tokens) -> np.ndarray:
@@ -291,16 +295,23 @@ def forward(model: ToyModel, tokens) -> np.ndarray:
     return _pooled(model, tok, None) @ model.head_w + model.head_b
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and its gradient w.r.t. the logits."""
+def _label_log_probs(logits: np.ndarray, labels: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log-probability of its label, and the gradient w.r.t.
+    ``logits`` of the mean cross-entropy over ``n`` rows, these among them."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     log_probs = shifted - log_z[:, None]
-    n = logits.shape[0]
-    loss = float(-np.mean(log_probs[np.arange(n), labels]))
+    rows = np.arange(len(logits))
     dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    dlogits[rows, labels] -= 1.0
+    return log_probs[rows, labels], dlogits / n
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and its gradient w.r.t. the logits."""
+    picked, dlogits = _label_log_probs(logits, labels, len(logits))
+    return float(-np.mean(picked)), dlogits
 
 
 def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
@@ -313,46 +324,57 @@ def loss_and_grads(model: ToyModel, tokens, labels) -> tuple[float, dict]:
     Each such stack (shape ``(n_layers, d, d)``) is the upstream tensor to
     feed :func:`craft.adapter.grad_j` for its adapter.
 
-    Each call works in fresh activation buffers; the training loops in this
-    module build theirs once and reuse them for every step.
+    Each call builds its own scratch of ``CHUNK`` rows per worker; the
+    training loops in this module build theirs once and reuse it for every
+    step.
     """
     tok, labels = _check_batch(model, tokens, labels)
-    return _loss_and_grads(model, tok, labels, _Buffers(model.cfg, len(tok), backward=True))
+    return _loss_and_grads(model, tok, labels, _scratch(model.cfg, len(tok), backward=True))
 
 
 def _loss_and_grads(model: ToyModel, tok: np.ndarray, labels: np.ndarray,
                     buf: _Buffers) -> tuple[float, dict]:
-    """:func:`loss_and_grads` of validated inputs, working in ``buf``."""
+    """:func:`loss_and_grads` of validated inputs in one parallel section.
+
+    Each chunk runs its forward pass, its rows' loss terms and its backward
+    pass in its worker's rows of ``buf``; this thread then takes the loss
+    over every row, the head gradients over the whole batch and the
+    chunk-ordered sum of the other partial gradients.
+    """
     qv = model.effective_qv()
-    pooled = _forward(model, tok, buf, qv)
-    loss, dlogits = cross_entropy(pooled @ model.head_w + model.head_b, labels)
     groups = BACKBONE if model.adapters is None else tuple(PROJECTIONS[n] for n in model.adapters)
-    d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
-    partials = parallel.chunked(len(tok), CHUNK, lambda start, stop: _backward(
-        model, buf.rows(start, stop), d_pooled[start:stop], qv, groups))
+
+    def chunk(worker: int, start: int, stop: int):
+        rows = buf.slot(worker, stop - start)
+        pooled = _forward(model, tok[start:stop], rows, qv)
+        picked, dlogits = _label_log_probs(pooled @ model.head_w + model.head_b,
+                                           labels[start:stop], len(tok))
+        d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
+        return pooled, picked, dlogits, _backward(model, tok[start:stop], rows, d_pooled, qv,
+                                                  groups)
+
+    pooled, picked, dlogits, partials = zip(*parallel.chunked(len(tok), CHUNK, chunk))
+    pooled, dlogits = np.concatenate(pooled), np.concatenate(dlogits)
     g = partials[0]
     for partial in partials[1:]:
         for name in g:
             g[name] += partial[name]
     g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
-    if "embeddings" in groups:
-        # each cell sums its token's rows in sequence order from +0.0, as np.add.at does
-        dx, vocab = buf.dx[:len(tok)].reshape(-1, model.cfg.d_model), model.cfg.vocab_size
-        g["embeddings"] = np.stack([np.bincount(tok.ravel(), weights=column, minlength=vocab)
-                                    for column in dx.T], axis=1)
-    return loss, g
+    return float(-np.mean(np.concatenate(picked))), g
 
 
-def _backward(model: ToyModel, buf: _Buffers, d_pooled: np.ndarray,
+def _backward(model: ToyModel, tok: np.ndarray, buf: _Buffers, d_pooled: np.ndarray,
               qv: tuple[np.ndarray, np.ndarray], groups: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """One chunk's share of the gradient of each weight stack in ``groups``.
+    """One chunk's share of the gradient of each group in ``groups`` but the head.
 
-    ``buf`` holds the chunk's forward pass and ``d_pooled`` the loss gradient
-    of its pooled rows divided by ``seq_len``.  With ``embeddings`` in
-    ``groups``, ``buf.dx`` is left holding the gradient of each embedded token.
-    ``buf.grad`` holds each layer's ``d_ctx``, then ``d_q``, then ``d_k``,
-    and ``buf.ctx``, once ``wo``'s gradient has read it, each product added
-    to ``dx``, in the order q, k, v.
+    ``buf`` holds the forward pass of the chunk ``tok`` and ``d_pooled`` the
+    loss gradient of its pooled rows divided by ``seq_len``.  ``buf.grad``
+    holds each layer's ``d_ctx``, then ``d_q``, then ``d_k``, and
+    ``buf.ctx``, once ``wo``'s gradient has read it, each product added to
+    ``dx``, in the order q, k, v.  With ``embeddings`` in ``groups``,
+    ``buf.dx`` ends holding the gradient of each embedded token, and each
+    cell of the embedding gradient sums its token's rows in sequence order
+    from +0.0, as ``np.add.at`` does.
     """
     d = model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
@@ -382,13 +404,19 @@ def _backward(model: ToyModel, buf: _Buffers, d_pooled: np.ndarray,
         if "wv" in g:
             np.matmul(d_v.T, x, out=g["wv"][layer])
         if layer == 0 and "embeddings" not in groups:
-            break  # below layer 0, dx would only reach the frozen embeddings
+            return g  # below layer 0, dx would only reach the frozen embeddings
         dx += np.matmul(grad, wq_eff[layer], out=product)
         np.matmul(d_scores.swapaxes(1, 2), q, out=buf.grad)  # d_k
         if "wk" in g:
             np.matmul(grad.T, x, out=g["wk"][layer])
         dx += np.matmul(grad, model.wk[layer], out=product)
         dx += np.matmul(d_v, wv_eff[layer], out=product)
+    # bin t * d + c for column c of token t, laid out in the product scratch,
+    # now free; a broadcast add would allocate numpy's ufunc buffers
+    bins = np.take(np.arange(model.cfg.vocab_size * d).reshape(-1, d), tok.ravel(), axis=0,
+                   out=product.view(np.intp), mode="clip")
+    g["embeddings"] = np.bincount(bins.ravel(), weights=dx.ravel(),
+                                  minlength=model.cfg.vocab_size * d).reshape(-1, d)
     return g
 
 
@@ -443,7 +471,7 @@ def pretrain(
     model = ToyModel(cfg, np.random.default_rng(seeds["model"]))
     tokens, labels = make_dataset(task, cfg, "train")
     eval_tokens, eval_labels = make_dataset(task, cfg, "eval")
-    buf = _Buffers(cfg, len(tokens), backward=True)
+    buf = _scratch(cfg, max(len(tokens), len(eval_tokens)), backward=True)
 
     losses = []
     acc = None  # eval accuracy of the current parameters, once known
@@ -518,7 +546,7 @@ def craft_finetune(
     tokens, labels = _check_batch(model, tokens, labels)
     tuned = model.clone()
     tuned.adapters = dict(adapters)
-    buf = _Buffers(model.cfg, len(tokens), backward=True)
+    buf = _scratch(model.cfg, len(tokens), backward=True)
 
     losses = []
     for step in range(steps):

@@ -323,7 +323,7 @@ def test_divergence_exits_6(tmp_path):
 
 OVERFLOW_TOY = ("n_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\ntrain_size=64\n"
                 "eval_size=64\npretrain_steps=100\nr1=1\nr2=2\nr3=2\nsteps=30\n")
-# 300 training sequences run each step in three chunks, on worker threads
+# 300 training sequences run each step in five chunks, on worker threads
 CHUNKED_OVERFLOW_TOY = OVERFLOW_TOY.replace("size=64", "size=300")
 
 

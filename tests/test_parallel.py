@@ -79,24 +79,27 @@ def test_an_exception_in_the_block_kills_and_reaps_the_child(forks, two_workers)
 def test_chunks_run_on_separate_workers_in_order(monkeypatch):
     """Each chunk of ``CHUNK`` sequences (the last partial) runs once, the
     calling thread among the workers; results come back in chunk order and
-    every worker thread is joined."""
+    every worker thread is joined.  Chunk ``i`` runs on worker ``i % 3``,
+    each worker index on one thread, the calling thread's being 0: the toy
+    gives each index its own rows of scratch."""
     monkeypatch.setattr(parallel, "WORKERS", 3)
     threads = threading.active_count()
-    ran = []
+    ran = {}
 
-    def work(start, stop):
-        ran.append(threading.current_thread())  # an ident can be reused, a Thread is not
+    def work(worker, start, stop):
+        # an ident can be reused, a Thread is not
+        ran[start // CHUNK] = worker, threading.current_thread()
         return start, stop
 
     assert parallel.chunked(4 * CHUNK + 1, CHUNK, work) == [
         (0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 3 * CHUNK), (3 * CHUNK, 4 * CHUNK),
         (4 * CHUNK, 4 * CHUNK + 1)]
-    assert len(ran) == 5
-    assert len(set(ran)) == 3 and threading.current_thread() in ran
+    assert [ran[i][0] for i in range(5)] == [0, 1, 2, 0, 1]
+    assert len(set(ran.values())) == 3 and ran[0][1] is threading.current_thread()
     assert threading.active_count() == threads
     ran.clear()
     assert parallel.chunked(CHUNK, CHUNK, work) == [(0, CHUNK)]
-    assert ran == [threading.current_thread()]  # one chunk starts no thread
+    assert ran == {0: (0, threading.current_thread())}  # one chunk starts no thread
 
 
 def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
@@ -104,11 +107,11 @@ def test_chunk_workers_run_under_the_callers_errstate(monkeypatch):
     where its caller ignores or raises."""
     monkeypatch.setattr(parallel, "WORKERS", 2)
     with np.errstate(over="raise", invalid="ignore"):
-        states = parallel.chunked(3 * CHUNK, CHUNK, lambda start, stop: np.geterr())
+        states = parallel.chunked(3 * CHUNK, CHUNK, lambda worker, start, stop: np.geterr())
         assert states == [np.geterr()] * 3
         with pytest.raises(FloatingPointError):
             parallel.chunked(2 * CHUNK, CHUNK,
-                             lambda start, stop: np.float64(1e308) * (10.0 + start))
+                             lambda worker, start, stop: np.float64(1e308) * (10.0 + start))
 
 
 def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
@@ -117,7 +120,7 @@ def test_the_first_failing_chunk_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 2)
     threads = threading.active_count()
 
-    def work(start, stop):
+    def work(worker, start, stop):
         if start:
             raise ValueError(f"chunk {start // CHUNK}")
 
@@ -135,7 +138,7 @@ def test_an_interrupted_chunk_stops_its_thread_and_raises_first(monkeypatch, wor
     threads = threading.active_count()
     ran = []
 
-    def work(start, stop):
+    def work(worker, start, stop):
         chunk = start // CHUNK
         ran.append(chunk)
         if chunk == 1:
@@ -158,7 +161,7 @@ def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_a
     monkeypatch.setattr(parallel, "WORKERS", 2)
     seen = []
 
-    def work(start, stop):
+    def work(worker, start, stop):
         seen.append(blas_at_two())
         if failure and start == CHUNK:  # chunk 1, on the worker thread
             raise failure("chunk 1")
@@ -168,7 +171,7 @@ def test_chunks_run_on_one_blas_thread_and_restore_the_count(monkeypatch, blas_a
     assert seen == [1, 1, 1]
     assert blas_at_two() == 2
     # one chunk starts no worker
-    assert parallel.chunked(CHUNK, CHUNK, lambda start, stop: blas_at_two()) == [2]
+    assert parallel.chunked(CHUNK, CHUNK, lambda worker, start, stop: blas_at_two()) == [2]
 
 
 def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas_at_two):
@@ -183,7 +186,7 @@ def test_blas_count_is_restored_when_the_caller_is_interrupted(monkeypatch, blas
 
     monkeypatch.setattr(threading.Thread, "join", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        parallel.chunked(2 * CHUNK, CHUNK, lambda start, stop: None)
+        parallel.chunked(2 * CHUNK, CHUNK, lambda worker, start, stop: None)
     assert blas_at_two() == 2
 
 
@@ -203,7 +206,7 @@ def test_an_interrupted_join_still_joins_every_worker(monkeypatch, blas_at_two):
         release.set()
         join(thread, timeout)
 
-    def work(start, stop):
+    def work(worker, start, stop):
         if start:  # chunk 1, on the worker: busy until the second join
             release.wait(10.0)
         seen.append(blas_at_two())
@@ -247,7 +250,7 @@ def test_without_openblas_one_worker_runs_and_blas_is_left_alone(monkeypatch):
     read = parallel.OPENBLAS[0] if parallel.OPENBLAS else lambda: None
     monkeypatch.setattr(parallel, "OPENBLAS", None)
     monkeypatch.setattr(parallel, "WORKERS", 2)
-    assert parallel.chunked(3 * CHUNK, CHUNK, lambda start, stop: read()) == [read()] * 3
+    assert parallel.chunked(3 * CHUNK, CHUNK, lambda worker, start, stop: read()) == [read()] * 3
 
 
 def test_a_worker_that_fails_to_start_leaves_no_thread_running(monkeypatch, blas_at_two):
@@ -264,7 +267,7 @@ def test_a_worker_that_fails_to_start_leaves_no_thread_running(monkeypatch, blas
             raise RuntimeError("can't start new thread")
         start(thread)
 
-    def work(begin, stop):
+    def work(worker, begin, stop):
         time.sleep(0.05)  # the started worker is still busy when the next start fails
         seen.append(blas_at_two())
 

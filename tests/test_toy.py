@@ -172,23 +172,24 @@ def test_pretrain_reaches_target_and_is_deterministic():
 
 
 def test_pretrain_builds_one_buffer_set(monkeypatch):
-    """Training steps and evaluations share one activation set, also when
+    """Training steps and evaluations share one scratch: ``CHUNK`` rows per
+    worker, or the larger of the two sets where that is shorter, also when
     each step runs in chunks on several workers."""
     built = []
     monkeypatch.setattr(toy, "_Buffers", lambda *args, **kw: built.append(args) or
                         _Buffers(*args, **kw))
     pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=16, eval_size=40), eta=0.5,
              max_steps=10, target_acc=2.0)
-    assert len(built) == 1
+    assert built == [(SMALL_CFG, 40, True)]
     monkeypatch.setattr(parallel, "WORKERS", 2)
     built.clear()
     pretrain(SMALL_CFG, SyntheticTask(seed=1, train_size=2 * CHUNK + 44, eval_size=3 * CHUNK),
              eta=0.5, max_steps=10, target_acc=2.0)
-    assert len(built) == 1
+    assert built == [(SMALL_CFG, 2 * CHUNK, True)]
 
 
-# at eta=0.5 this run's eval accuracy is 0.85 from step 5 on; each evaluation
-# of its 40 sequences runs through the 16-sequence training set in 3 passes
+# at eta=0.5 this run's eval accuracy is 0.85 from step 5 on; each step runs
+# its 16 training sequences, and each evaluation its 40, as one chunk
 @pytest.mark.parametrize("max_steps,target_acc,steps,evals", [
     (20, 0.8, 5, 1),   # the target is reached at the first evaluation
     (10, 2.0, 10, 2),  # the budget ends on an evaluation
@@ -201,8 +202,8 @@ def test_pretrain_evaluates_each_model_once(monkeypatch, max_steps, target_acc, 
                         _forward(*args))
     m = pretrain(SMALL_CFG, task, eta=0.5, max_steps=max_steps, target_acc=target_acc)
     assert len(m.pretrain_losses) == steps
-    assert calls.count(8) == evals  # the last pass of each evaluation
-    assert len(calls) == steps + 3 * evals
+    assert calls.count(40) == evals
+    assert len(calls) == steps + evals
     assert m.pretrain_eval_acc == evaluate(m, *make_dataset(task, SMALL_CFG, "eval"))
 
 
@@ -422,16 +423,34 @@ def test_overflowing_update_is_reported_with_step():
     assert excinfo.value.step == 0
 
 
-def test_overflow_reaching_grad_j_is_reported_with_step():
-    cfg = ToyConfig(n_layers=2, d_model=8, vocab_size=8, seq_len=6)
-    m = ToyModel(cfg, np.random.default_rng(5))
-    # a huge head overflows the backward, and grad_j rejects the upstream gradient
-    m.head_w = 1e3 * np.random.default_rng(105).standard_normal(m.head_w.shape)
+def test_overflow_reaching_grad_j_is_reported_with_step(monkeypatch):
+    """At step 2 the second chunk's backward pass, on a worker thread, puts
+    an inf in the ``wq`` upstream gradient while the loss stays finite:
+    grad_j's upstream check fires, and its error is wrapped once, with the
+    step."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    m = small_model()
+    m.head_w = 0.3 * np.random.default_rng(3).standard_normal(m.head_w.shape)
     adapters = build_adapters(m, TuckerRanks(1, 2, 2))
-    train = make_dataset(SyntheticTask(seed=0, train_size=16, eval_size=16), cfg, "train")
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
-        craft_finetune(m, adapters, *train, eta=1e4, steps=20)
-    assert isinstance(excinfo.value.step, int)
+    train = make_dataset(SyntheticTask(seed=1, train_size=CHUNK + 16), SMALL_CFG, "train")
+    backward, tails = toy._backward, []
+
+    def overflowing(model, tok, *args):
+        g = backward(model, tok, *args)
+        if len(tok) == 16:  # the second chunk
+            tails.append(threading.current_thread())
+            if len(tails) == 3:
+                g["wq"][1, 0, 0] = np.inf
+        return g
+
+    monkeypatch.setattr(toy, "_backward", overflowing)
+    with pytest.raises(DivergenceError) as excinfo:
+        craft_finetune(m, adapters, *train, eta=0.1, steps=5)
+    assert threading.current_thread() not in tails
+    assert excinfo.value.step == 2
+    assert str(excinfo.value) == ("fine-tuning diverged: upstream contains non-finite values "
+                                  "(step 2)")
+    assert isinstance(excinfo.value.__cause__, ValidationError)
 
 
 @pytest.fixture(scope="module")
@@ -562,7 +581,7 @@ def test_chunk_workers_under_stress_match_one_worker(monkeypatch):
 
 
 MULTI_CFG = ToyConfig(n_layers=2, d_model=8, vocab_size=8, seq_len=6, seed=3)
-# three chunks per training step, the last one partial, and two per evaluation
+# three chunks per training step and per evaluation, the last one partial
 MULTI_TASK = SyntheticTask(seed=3, train_size=2 * CHUNK + 44, eval_size=CHUNK + 72)
 
 

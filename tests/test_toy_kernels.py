@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craft import parallel
+from craft import parallel, toy
 from craft.toy import (
     CHUNK,
     PROJECTIONS,
@@ -29,10 +29,12 @@ from craft.toy import (
     ToyConfig,
     ToyModel,
     _Buffers,
+    _backward,
+    _evaluate,
     _forward,
     _loss_and_grads,
+    _scratch,
     build_adapters,
-    _evaluate,
     craft_finetune,
     evaluate,
     forward,
@@ -103,8 +105,8 @@ CONFIGS = [
      TuckerRanks(2, 4, 5)),
     (ToyConfig(n_layers=1, d_model=2, vocab_size=4, seq_len=1, seed=3), 4, TuckerRanks(1, 1, 2)),
     (ToyConfig(), 64, TuckerRanks(4, 8, 8)),
-    # two chunks, the second one partial
-    (ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=6), CHUNK + 72,
+    # four chunks, the last one partial
+    (ToyConfig(n_layers=2, d_model=8, vocab_size=6, seq_len=5, seed=6), 3 * CHUNK + 8,
      TuckerRanks(2, 3, 3)),
 ]
 
@@ -183,46 +185,88 @@ def test_loss_and_grads_equal_the_unaliased_step_bitwise(
 @settings(max_examples=25, deadline=None)
 def test_embedding_gradient_is_add_at_over_dx_bitwise(vocab_size, seq_len, batch, seed):
     """Every token repeats (more positions than vocabulary), so each cell
-    sums several rows of ``dx``, in sequence order from +0.0."""
+    sums several rows of a chunk's ``dx``, in sequence order from +0.0; the
+    chunks' sums add up in chunk order.  One worker runs the chunks in
+    order, and each one's ``dx`` is read as its backward pass leaves it."""
     cfg = ToyConfig(n_layers=2, d_model=4, vocab_size=vocab_size, seq_len=seq_len)
     model = random_model(cfg, seed)
     rng = np.random.default_rng(seed)
     tokens = rng.integers(0, vocab_size, (batch, seq_len))
-    buf = _Buffers(cfg, batch, backward=True)
-    _, g = _loss_and_grads(model, tokens, rng.integers(0, 2, batch), buf)
-    ref = np.zeros_like(model.embeddings)
-    np.add.at(ref, tokens, buf.dx)
+    chunks = []
+
+    def keep_dx(model, tok, buf, *args):
+        g = _backward(model, tok, buf, *args)
+        chunks.append((tok, buf.dx.copy()))
+        return g
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "WORKERS", 1)
+        patch.setattr(toy, "_backward", keep_dx)
+        _, g = loss_and_grads(model, tokens, rng.integers(0, 2, batch))
+    assert len(chunks) == -(-batch // CHUNK)
+    ref = None
+    for tok, dx in chunks:
+        partial = np.zeros_like(model.embeddings)
+        np.add.at(partial, tok, dx)
+        ref = partial if ref is None else ref + partial
     assert g["embeddings"].tobytes() == ref.tobytes()
+
+
+def scratch_bytes(buf):
+    return sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
 
 
 @pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
 def test_training_step_allocates_less_than_one_activation_array(craft_adapt):
-    """With its buffers built, a step over two chunks allocates only
-    per-sequence rows, weight-sized gradients, numpy's fixed-size ufunc
-    buffers and one embedding column at a time: less than one
-    ``(batch, seq_len, d)`` array."""
+    """With its scratch built, a step over three chunks allocates only
+    per-sequence rows, weight-sized gradients and numpy's fixed-size ufunc
+    buffers: less than one ``(batch, seq_len, d)`` array."""
     cfg = ToyConfig(n_layers=2, seed=6)
     model = random_model(cfg, seed=6, ranks=TuckerRanks(2, 8, 8) if craft_adapt else None)
     tokens, labels = make_dataset(SyntheticTask(seed=6, train_size=CHUNK + 72), cfg, "train")
-    buf = _Buffers(cfg, len(tokens), backward=True)
+    buf = _scratch(cfg, len(tokens), backward=True)
     _loss_and_grads(model, tokens, labels, buf)
     peak = traced_peak(lambda: _loss_and_grads(model, tokens, labels, buf))
-    assert peak < buf.dx.nbytes
+    assert peak < 8 * len(tokens) * cfg.seq_len * cfg.d_model
+
+
+@pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
+def test_training_memory_does_not_grow_with_the_batch(monkeypatch, craft_adapt):
+    """From 2 to 8 chunks, a step's ``tracemalloc`` peak, its scratch built
+    first, and that of a public call, which builds its own, grow by less
+    than one chunk's scratch: only per-sequence rows and per-chunk partial
+    gradients grow.  Two workers, whatever the host."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    cfg = ToyConfig(n_layers=2, seed=7)
+    model = random_model(cfg, seed=7, ranks=TuckerRanks(2, 8, 8) if craft_adapt else None)
+    rng = np.random.default_rng(7)
+    step_peaks, call_peaks = [], []
+    for n in (2 * CHUNK, 8 * CHUNK):
+        tokens = rng.integers(0, cfg.vocab_size, (n, cfg.seq_len))
+        labels = rng.integers(0, cfg.n_classes, n)
+        buf = _scratch(cfg, n, backward=True)
+        assert buf.batch == 2 * CHUNK
+        step_peaks.append(traced_peak(lambda: _loss_and_grads(model, tokens, labels, buf)))
+        call_peaks.append(traced_peak(lambda: loss_and_grads(model, tokens, labels)))
+    chunk_bytes = scratch_bytes(_Buffers(cfg, CHUNK, backward=True))
+    assert step_peaks[1] - step_peaks[0] < chunk_bytes
+    assert call_peaks[1] - call_peaks[0] < chunk_bytes
 
 
 @pytest.mark.parametrize("call", ["forward", "evaluate", "head_only_finetune"])
 def test_forward_only_calls_keep_one_pass_of_buffers(call):
-    """On four passes of ``parallel.WORKERS * CHUNK`` sequences, the calls
-    that run only the forward pass hold one pass of buffers plus
-    per-sequence outputs: well under two passes' worth."""
+    """On four times ``parallel.WORKERS * CHUNK`` sequences, the calls that
+    run only the forward pass hold one forward-only scratch of ``CHUNK``
+    rows per worker plus per-sequence outputs: well under two scratches'
+    worth."""
     cfg = ToyConfig(n_layers=1)
     model = random_model(cfg, seed=8)
     per_pass = parallel.WORKERS * CHUNK
     rng = np.random.default_rng(8)
     tokens = rng.integers(0, cfg.vocab_size, (4 * per_pass, cfg.seq_len))
     labels = rng.integers(0, cfg.n_classes, len(tokens))
-    pass_bytes = sum(a.nbytes for a in vars(_Buffers(cfg, per_pass, backward=False)).values()
-                     if isinstance(a, np.ndarray))
+    pass_bytes = scratch_bytes(_scratch(cfg, len(tokens), backward=False))
+    assert pass_bytes == scratch_bytes(_Buffers(cfg, per_pass, backward=False))
     run = {"forward": lambda: forward(model, tokens),
            "evaluate": lambda: evaluate(model, tokens, labels),
            "head_only_finetune": lambda: head_only_finetune(model, tokens, labels, 0.1, 1)}
@@ -263,12 +307,12 @@ def test_head_only_finetune_is_bitwise_equal_to_reference():
 @pytest.mark.parametrize("projections", [("Q",), ("V",), ("Q", "V")], ids=["Q", "V", "QV"])
 def test_training_loops_reuse_buffers_without_carrying_state(projections, train_size,
                                                              eval_size):
-    """pretrain and craft_finetune keep one activation buffer set for all
-    their steps, and pretrain evaluates through it in passes of the training
-    batch; every step and evaluation must still equal a call on fresh
-    buffers, also where a step runs in two chunks of workers.  The reference routes each adapter's upstream gradient on its
-    own, and a projection left out must keep the model's own stack bit for
-    bit."""
+    """pretrain and craft_finetune keep one scratch for all their steps,
+    and pretrain evaluates through it; every step and evaluation must still
+    equal a call on fresh buffers, also where a step runs in several chunks
+    on workers.  The reference routes each adapter's upstream gradient on
+    its own, and a projection left out must keep the model's own stack bit
+    for bit."""
     cfg = ToyConfig(seed=5)
     task = SyntheticTask(seed=5, train_size=train_size, eval_size=eval_size)
     m = pretrain(cfg, task, eta=0.05, max_steps=60, target_acc=0.9)
@@ -314,22 +358,27 @@ def test_forward_without_cache_equals_cached_logits(n_layers, craft_adapt):
 
 @pytest.mark.parametrize("craft_adapt", [False, True], ids=["full-train", "craft-adapt"])
 @pytest.mark.parametrize("n", [1, 7, 20, 100])
-def test_evaluate_in_chunks_equals_fresh_buffers(n, craft_adapt):
-    """``_evaluate`` through a training set of batch 7 runs ``n`` sequences
-    in chunks of 7, the last one partial, and must equal public ``evaluate``.
+def test_evaluate_in_chunks_equals_fresh_buffers(monkeypatch, n, craft_adapt):
+    """``_evaluate`` through a training scratch, with chunks of 7 on one and
+    on two workers, runs ``n`` sequences in chunks of 7, the last one
+    partial, each in its worker's rows, and must equal public ``evaluate``.
     The labels are the public predictions, so any row predicted differently
-    lowers the accuracy below 1, and the buffers start as NaN, so a row read
-    before it is written shows."""
+    lowers the accuracy below 1, and the scratch starts as NaN, so a row
+    read before it is written shows."""
     cfg = ToyConfig(n_layers=3, d_model=8, vocab_size=6, seq_len=5, n_classes=3, seed=4)
     model = random_model(cfg, seed=4, ranks=TuckerRanks(1, 4, 4) if craft_adapt else None)
     tokens = np.random.default_rng(n).integers(0, cfg.vocab_size, (n, cfg.seq_len))
     labels = np.argmax(forward(model, tokens), axis=1)
-    buf = _Buffers(cfg, 7, backward=True)
-    for arr in vars(buf).values():
-        if isinstance(arr, np.ndarray):
-            arr.fill(np.nan)
     assert evaluate(model, tokens, labels) == 1.0
-    assert _evaluate(model, tokens, labels, buf) == 1.0
+    monkeypatch.setattr(toy, "CHUNK", 7)
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        buf = _scratch(cfg, n, backward=True)
+        assert buf.batch == min(n, 7 * workers)
+        for arr in vars(buf).values():
+            if isinstance(arr, np.ndarray):
+                arr.fill(np.nan)
+        assert _evaluate(model, tokens, labels, buf) == 1.0
 
 
 @pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward-only"])

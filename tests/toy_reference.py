@@ -7,9 +7,9 @@ forward/backward pass per step and reads only the head gradients.
 ``reference_pretrain`` and ``reference_craft_finetune`` are the training loops
 written over the public ``loss_and_grads`` and ``evaluate``, which work in
 fresh activation buffers on every call.
-``unaliased_loss_and_grads`` is the GEMM training step with one scratch
-array per backward value and ``dx``'s query term added after ``d_k`` is
-formed; the aliased step must equal it bit for bit.
+``unaliased_loss_and_grads`` is the GEMM training step unfused, with one
+scratch array per backward value and ``dx``'s query term added after
+``d_k`` is formed; the fused, aliased step must equal it bit for bit.
 ``majority_label`` states the base task's labelling rule directly.
 """
 
@@ -27,6 +27,7 @@ from craft.toy import (
     _Buffers,
     _derived_seeds,
     _forward,
+    _label_log_probs,
     cross_entropy,
     evaluate,
     loss_and_grads,
@@ -109,34 +110,41 @@ def reference_loss_and_grads(model, tokens, labels):
 
 
 def unaliased_loss_and_grads(model, tokens, labels):
-    """``loss_and_grads`` with the forward's buffers and, per chunk of
-    ``CHUNK`` sequences, one fresh array for each backward value; the chunks
-    run in order on the calling thread and the embedding gradient is
-    ``np.add.at`` over ``dx``."""
+    """``loss_and_grads`` unfused and with one fresh array for each value.
+
+    Per chunk of ``CHUNK`` sequences, in order on the calling thread: a
+    forward pass into fresh buffers, then the chunk's log-probabilities and
+    logit gradient.  Then, per chunk, a backward pass with one fresh array
+    for each backward value.  The loss and the head gradients are taken over
+    the whole batch; the weight gradients and the embedding gradient
+    (``np.add.at`` over each chunk's ``dx``) sum in chunk order."""
     tok = check_ids(tokens, "tokens", (None, model.cfg.seq_len), model.cfg.vocab_size)
     labels = check_ids(labels, "labels", (len(tok),), model.cfg.n_classes)
-    buf = _Buffers(model.cfg, len(tok), backward=True)
     qv = model.effective_qv()
-    pooled = _forward(model, tok, buf, qv)
-    loss, dlogits = cross_entropy(pooled @ model.head_w + model.head_b, labels)
+    bounds = [(start, min(start + CHUNK, len(tok))) for start in range(0, len(tok), CHUNK)]
+    bufs = [_Buffers(model.cfg, stop - start, backward=True) for start, stop in bounds]
+    pooled = [_forward(model, tok[start:stop], buf, qv) for (start, stop), buf in zip(bounds, bufs)]
+    # each chunk's logits are its own product: a one-row chunk may round as
+    # numpy's matrix-vector product, not as a row of the whole batch's
+    picked, dlogits = zip(*(_label_log_probs(rows @ model.head_w + model.head_b,
+                                             labels[start:stop], len(tok))
+                            for rows, (start, stop) in zip(pooled, bounds)))
     groups = BACKBONE if model.adapters is None else tuple(PROJECTIONS[n] for n in model.adapters)
-    d_pooled = dlogits @ model.head_w.T / model.cfg.seq_len
-    g, dx = None, []
-    for start in range(0, len(tok), CHUNK):
-        stop = min(start + CHUNK, len(tok))
-        partial, chunk_dx = _unaliased_backward(model, buf.rows(start, stop),
-                                                d_pooled[start:stop], qv, groups)
-        dx.append(chunk_dx)
+    g = None
+    for (start, stop), buf, chunk_dlogits in zip(bounds, bufs, dlogits):
+        d_pooled = chunk_dlogits @ model.head_w.T / model.cfg.seq_len
+        partial, dx = _unaliased_backward(model, buf, d_pooled, qv, groups)
+        if "embeddings" in groups:
+            partial["embeddings"] = np.zeros_like(model.embeddings)
+            np.add.at(partial["embeddings"], tok[start:stop], dx)
         if g is None:
             g = partial
         else:
             for name in g:
                 g[name] += partial[name]
+    pooled, dlogits = np.concatenate(pooled), np.concatenate(dlogits)
     g.update(head_w=pooled.T @ dlogits, head_b=dlogits.sum(axis=0))
-    if "embeddings" in groups:
-        g["embeddings"] = np.zeros_like(model.embeddings)
-        np.add.at(g["embeddings"], tok, np.concatenate(dx))
-    return loss, g
+    return float(-np.mean(np.concatenate(picked))), g
 
 
 def _unaliased_backward(model, buf, d_pooled, qv, groups):
