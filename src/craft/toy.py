@@ -33,16 +33,19 @@ thread then takes the loss, the head gradients and the chunk-ordered sum of
 the other gradients.  Each training loop builds its scratch once, and its
 evaluations run through it; forward-only calls build a forward-only one.
 So activation memory is ``parallel.WORKERS * CHUNK`` rows whatever the
-train or eval size, and steps allocate only per-sequence rows and
-weight-sized partial gradients.  The backward scratch holds only live
-values.  Chunks split at fixed boundaries, so results are the same bytes
-whatever the CPU or BLAS thread count.
+train or eval size, and steps allocate only per-sequence rows and one set
+of weight-sized partial gradients per chunk.  The backward pass writes each
+gradient over an activation it has finished with, so with ``L`` layers and
+``S = seq_len`` the training scratch holds
+``(L+1)·S·d + 3L·S·d + L·S² + max(S·d, 2·S²) + S·d`` doubles per sequence.
+Chunks split at fixed boundaries, so results are the same bytes whatever
+the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -166,19 +169,6 @@ class ToyModel:
         return tuple(adapted_tensor(adapters[name]) if name in adapters else getattr(self, stack)
                      for name, stack in PROJECTIONS.items())
 
-    def backbone_checksum(self) -> str:
-        """SHA-256 over everything that must never change during adaptation."""
-        h = hashlib.sha256()
-        for name in BACKBONE:
-            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
-        if self.adapters is not None:
-            for name in sorted(self.adapters):
-                a = self.adapters[name]
-                for arr in (a.w_original, a.factors.core,
-                            a.factors.u1, a.factors.u2, a.factors.u3):
-                    h.update(arr.tobytes())
-        return h.hexdigest()
-
 
 def _check_batch(model: ToyModel, tokens, labels) -> tuple[np.ndarray, np.ndarray]:
     """``tokens`` and one label per sequence, as checked int64 arrays."""
@@ -213,12 +203,14 @@ class _Buffers:
     ``CHUNK`` rows, viewed by :meth:`slot`.
     Row ``l`` of ``x`` is layer ``l``'s input and the next row its output;
     ``q``, ``k``, ``v`` and ``attn`` hold layer ``l`` in slot ``l % depth``.
-    ``ctx`` holds one layer: the backward pass recomputes it from ``attn``
-    and ``v`` where it needs it, and then uses it as its product scratch.
-    Training needs every layer and the backward scratch: ``dx``, ``grad``
-    (which holds ``d_ctx``, then ``d_q``, then ``d_k``), ``d_v`` and two
-    score-sized arrays.  A forward-only pass keeps depth 1, so ``x``
-    alternates between two rows.
+    ``ctx`` holds one work row per sequence, viewed through :meth:`work`:
+    one layer's attention output, which the backward pass recomputes where
+    it needs it before using the rows for its other work.  Training needs
+    every layer, one more ``(seq_len, d)`` gradient row, ``grad``, and work
+    rows wide enough for two score-sized arrays, so with ``S = seq_len`` a
+    sequence holds ``(L+1)·S·d + 3L·S·d + L·S² + max(S·d, 2·S²) + S·d``
+    doubles.  A forward-only pass keeps depth 1, so ``x`` alternates
+    between two rows.
     """
 
     LAYERED = ("x", "q", "k", "v", "attn")
@@ -226,14 +218,19 @@ class _Buffers:
     def __init__(self, cfg: ToyConfig, batch: int, backward: bool):
         self.batch = batch
         depth = cfg.n_layers if backward else 1
-        acts, scores = (batch, cfg.seq_len, cfg.d_model), (batch, cfg.seq_len, cfg.seq_len)
-        self.x = np.empty((depth + 1, *acts))
-        self.q, self.k, self.v = (np.empty((depth, *acts)) for _ in range(3))
-        self.attn = np.empty((depth, *scores))
-        self.ctx = np.empty(acts)
+        s, d = cfg.seq_len, cfg.d_model
+        self.x = np.empty((depth + 1, batch, s, d))
+        self.q, self.k, self.v = (np.empty((depth, batch, s, d)) for _ in range(3))
+        self.attn = np.empty((depth, batch, s, s))
+        self.ctx = np.empty((batch, max(s * d, 2 * s * s) if backward else s * d))
         if backward:
-            self.dx, self.grad, self.d_v = (np.empty(acts) for _ in range(3))
-            self.d_attn, self.tmp_attn = np.empty(scores), np.empty(scores)
+            self.grad = np.empty((batch, s, d))
+
+    def work(self, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+        """``ctx``'s doubles from ``offset`` on, viewed as ``shape``.  The view
+        is taken flat, since a slot's rows are contiguous and a column slice
+        would make ``reshape`` copy."""
+        return self.ctx.reshape(-1)[offset:offset + math.prod(shape)].reshape(shape)
 
     def slot(self, worker: int, batch: int) -> "_Buffers":
         """The first ``batch`` of worker ``worker``'s ``CHUNK`` rows; no copy."""
@@ -261,6 +258,7 @@ def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers,
     inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = qv
     depth, n_x = len(buf.q), len(buf.x)
+    ctx = buf.work(0, buf.x[0].shape)
     # activations are (batch * seq_len, d) so each projection is one GEMM;
     # the ids are checked, and mode="raise" would copy through a temporary
     np.take(model.embeddings, tok.ravel(), axis=0, out=buf.x[0].reshape(-1, d), mode="clip")
@@ -273,8 +271,8 @@ def _forward(model: ToyModel, tok: np.ndarray, buf: _Buffers,
         np.matmul(q, k.swapaxes(1, 2), out=attn)
         attn *= inv_sqrt_d
         _softmax_rows(attn)
-        np.matmul(attn, v, out=buf.ctx)
-        np.matmul(buf.ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
+        np.matmul(attn, v, out=ctx)
+        np.matmul(ctx.reshape(-1, d), model.wo[layer].T, out=x_out)
         x_out += x
     return buf.x[n_layers % n_x].mean(axis=1)
 
@@ -368,34 +366,40 @@ def _backward(model: ToyModel, tok: np.ndarray, buf: _Buffers, d_pooled: np.ndar
     """One chunk's share of the gradient of each group in ``groups`` but the head.
 
     ``buf`` holds the forward pass of the chunk ``tok`` and ``d_pooled`` the
-    loss gradient of its pooled rows divided by ``seq_len``.  ``buf.grad``
-    holds each layer's ``d_ctx``, then ``d_q``, then ``d_k``, and
-    ``buf.ctx``, once ``wo``'s gradient has read it, each product added to
-    ``dx``, in the order q, k, v.  With ``embeddings`` in ``groups``,
-    ``buf.dx`` ends holding the gradient of each embedded token, and each
-    cell of the embedding gradient sums its token's rows in sequence order
-    from +0.0, as ``np.add.at`` does.
+    loss gradient of its pooled rows divided by ``seq_len``.  Each gradient
+    overwrites a value no later step reads: ``dx`` the top row of
+    ``buf.x``, each layer's ``d_v`` its ``v`` and ``d_k`` its ``k``, and
+    ``buf.grad`` holds ``d_ctx``, then ``d_q``.  The work rows hold the
+    recomputed ``ctx`` until ``wo``'s gradient has read it, then ``dP`` and
+    its row-sum temporary, then each product added to ``dx``, in the order
+    q, k, v.  So beyond the forward activations a sequence needs
+    ``max(S·d, 2·S²) + S·d`` doubles.  With ``embeddings`` in ``groups``,
+    ``buf.x[-1]`` ends holding the gradient of each embedded token, and
+    each cell of the embedding gradient sums its token's rows in sequence
+    order from +0.0, as ``np.add.at`` does.
     """
     d = model.cfg.d_model
     inv_sqrt_d = 1.0 / np.sqrt(d)
     wq_eff, wv_eff = qv
     g = {name: np.empty_like(getattr(model, name)) for name in groups if name != "embeddings"}
-    buf.dx[:] = d_pooled[:, None, :]
-    dx, product = buf.dx.reshape(-1, d), buf.ctx.reshape(-1, d)
-    grad, d_v = buf.grad.reshape(-1, d), buf.d_v.reshape(-1, d)
+    # the pooled features are taken, so the top row of x is free
+    buf.x[-1] = d_pooled[:, None, :]
+    dx, grad = buf.x[-1].reshape(-1, d), buf.grad.reshape(-1, d)
+    ctx, scores = buf.work(0, buf.x[0].shape), buf.work(0, buf.attn[0].shape)
+    product, row_terms = ctx.reshape(-1, d), buf.work(scores.size, scores.shape)
 
     for layer in range(model.cfg.n_layers - 1, -1, -1):
         x, q, k, v = buf.x[layer].reshape(-1, d), buf.q[layer], buf.k[layer], buf.v[layer]
         attn = buf.attn[layer]
         if "wo" in g:
             # ctx holds the last layer the forward wrote; recompute this one's
-            np.matmul(attn, v, out=buf.ctx)
+            np.matmul(attn, v, out=ctx)
             np.matmul(dx.T, product, out=g["wo"][layer])
         np.matmul(dx, model.wo[layer], out=grad)  # d_ctx
-        d_scores = np.matmul(buf.grad, v.swapaxes(1, 2), out=buf.d_attn)
-        np.matmul(attn.swapaxes(1, 2), buf.grad, out=buf.d_v)
+        d_scores = np.matmul(buf.grad, v.swapaxes(1, 2), out=scores)
+        d_v = np.matmul(attn.swapaxes(1, 2), buf.grad, out=v).reshape(-1, d)
         # softmax rows: dS = P * (dP - sum(dP * P)), overwriting dP
-        d_scores -= np.multiply(d_scores, attn, out=buf.tmp_attn).sum(axis=-1, keepdims=True)
+        d_scores -= np.multiply(d_scores, attn, out=row_terms).sum(axis=-1, keepdims=True)
         d_scores *= attn
         d_scores *= inv_sqrt_d
         np.matmul(d_scores, k, out=buf.grad)  # d_q
@@ -405,11 +409,11 @@ def _backward(model: ToyModel, tok: np.ndarray, buf: _Buffers, d_pooled: np.ndar
             np.matmul(d_v.T, x, out=g["wv"][layer])
         if layer == 0 and "embeddings" not in groups:
             return g  # below layer 0, dx would only reach the frozen embeddings
-        dx += np.matmul(grad, wq_eff[layer], out=product)
-        np.matmul(d_scores.swapaxes(1, 2), q, out=buf.grad)  # d_k
+        d_k = np.matmul(d_scores.swapaxes(1, 2), q, out=k).reshape(-1, d)
         if "wk" in g:
-            np.matmul(grad.T, x, out=g["wk"][layer])
-        dx += np.matmul(grad, model.wk[layer], out=product)
+            np.matmul(d_k.T, x, out=g["wk"][layer])
+        dx += np.matmul(grad, wq_eff[layer], out=product)
+        dx += np.matmul(d_k, model.wk[layer], out=product)
         dx += np.matmul(d_v, wv_eff[layer], out=product)
     # bin t * d + c for column c of token t, laid out in the product scratch,
     # now free; a broadcast add would allocate numpy's ufunc buffers

@@ -327,30 +327,38 @@ OVERFLOW_TOY = ("n_layers=2\nd_model=8\nvocab_size=8\nseq_len=6\ntrain_size=64\n
 CHUNKED_OVERFLOW_TOY = OVERFLOW_TOY.replace("size=64", "size=300")
 
 
-OVERFLOWS = pytest.mark.parametrize("lines,toy_lines", [
-    # the upstream gradient overflows in the backward
-    ("seed=0\neta=1e3\nhead_eta=1e6\n", OVERFLOW_TOY),
-    ("seed=2\neta=1e4\n", OVERFLOW_TOY),  # the adapter products in grad_j overflow
-    ("seed=0\neta=1e3\nhead_eta=1e6\n", CHUNKED_OVERFLOW_TOY),
-    ("seed=2\neta=1e4\n", CHUNKED_OVERFLOW_TOY),
+UPSTREAM = "upstream contains non-finite values"  # the backward's upstream gradient overflows
+GRAD_J = "t contains non-finite values"  # the adapter products in grad_j overflow
+OVERFLOWS = pytest.mark.parametrize("lines,toy_lines,check", [
+    ("seed=0\neta=1e3\nhead_eta=1e6\n", OVERFLOW_TOY, UPSTREAM),
+    ("seed=2\neta=1e4\n", OVERFLOW_TOY, GRAD_J),
+    ("seed=0\neta=1e3\nhead_eta=1e6\n", CHUNKED_OVERFLOW_TOY, UPSTREAM),
+    # eta=1e4 ends at sgd_step's update check at this chunking; 1.5e3 to 7e3
+    # all reach grad_j
+    ("seed=2\neta=3e3\n", CHUNKED_OVERFLOW_TOY, GRAD_J),
 ], ids=["upstream", "grad_j", "upstream-chunks", "grad_j-chunks"])
 DIVERGED = r"error: fine-tuning diverged: .+ \(step \d+\)\n"
 
 
+def assert_diverged_at(err, check):
+    assert re.fullmatch(DIVERGED, err)
+    assert f": {check} (step " in err
+
+
 @OVERFLOWS
 def test_fine_tuning_overflow_exits_6_with_step(tmp_path, capsys, monkeypatch, lines,
-                                                toy_lines):
+                                                toy_lines, check):
     # two workers whatever the host; a warning escaping one would fail the call
     monkeypatch.setattr(parallel, "WORKERS", 2)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(lines + toy_lines)
     code = main(["train-toy", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 6
-    assert re.fullmatch(DIVERGED, capsys.readouterr().err)
+    assert_diverged_at(capsys.readouterr().err, check)
 
 
 @OVERFLOWS
-def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines, toy_lines):
+def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines, toy_lines, check):
     """Run as a user runs it, with Python's default warning filters: numpy's
     RuntimeWarnings must not reach stderr ahead of the one error line.  BLAS
     runs one thread per call, so each chunk runs on a worker of its own."""
@@ -359,7 +367,7 @@ def test_fine_tuning_overflow_prints_only_the_error_line(tmp_path, lines, toy_li
     proc = _craft(tmp_path, "train-toy", "--config", str(cfg), "--out-dir", "o",
                   OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 6
-    assert re.fullmatch(DIVERGED, proc.stderr)
+    assert_diverged_at(proc.stderr, check)
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])

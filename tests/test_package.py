@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import craft
@@ -9,6 +12,17 @@ def test_every_exported_name_resolves_once():
     assert len(craft.__all__) == len(set(craft.__all__))
     for name in craft.__all__:
         assert hasattr(craft, name), name
+
+
+def test_importing_the_package_does_not_load_openssl():
+    # a fresh interpreter: this one's test modules import hashlib themselves
+    src = str(Path(craft.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", "import sys, craft, craft.cli; "
+                           "print('_hashlib' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_only_errors_applies_the_argument_policy():

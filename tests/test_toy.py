@@ -311,12 +311,6 @@ def test_finetune_freezes_backbone():
     for name in adapters:
         assert tuned.adapters[name].w_original is adapters[name].w_original
         assert tuned.adapters[name].factors is adapters[name].factors
-    # and the sum of backbone checks is captured by the checksum helper
-    routed = m.clone()
-    routed.adapters = dict(adapters)
-    tuned_at_init = m.clone()
-    tuned_at_init.adapters = {k: adapters[k] for k in adapters}
-    assert routed.backbone_checksum() == tuned_at_init.backbone_checksum()
 
 
 def test_finetune_rejects_foreign_adapters():

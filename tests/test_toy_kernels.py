@@ -8,8 +8,9 @@ exact arithmetic and hold only rounding noise; those two groups are then held
 to 1e-12 of the largest gradient entry instead. The head-only baseline changed no arithmetic, only where the
 pooled features come from, so it must match its reference bit for bit.
 The backward pass shares its scratch arrays between values whose lifetimes
-do not overlap; that changed no arithmetic either, so every gradient must
-equal the unaliased step in toy_reference bit for bit.
+do not overlap, and writes gradients over activations it has finished with;
+that changed no arithmetic either, so every gradient must equal the
+unaliased step in toy_reference bit for bit.
 
 Only the groups that train are returned: all seven in full-train mode, and
 ``head_w``, ``head_b`` and the stack of each adapted projection in craft-adapt
@@ -18,7 +19,7 @@ mode, where the gradients of frozen stacks and embeddings are never computed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from craft import parallel, toy
@@ -159,6 +160,11 @@ def test_loss_and_grads_match_reference_on_random_configs(
     projections=st.sampled_from([None, ("Q", "V"), ("Q",), ("V",)]),
 )
 @settings(max_examples=25, deadline=None)
+# 2 * seq_len > d_model: dP and its row-sum temporary are wider than one ctx
+# layer, so the work rows take the 2 * seq_len**2 width; full-train mode and
+# a partial last chunk
+@example(n_layers=2, half_d=2, vocab_size=5, seq_len=5, n_classes=3, batch=CHUNK + 9,
+         seed=11, projections=None)
 def test_loss_and_grads_equal_the_unaliased_step_bitwise(
         n_layers, half_d, vocab_size, seq_len, n_classes, batch, seed, projections):
     cfg = ToyConfig(n_layers=n_layers, d_model=2 * half_d, vocab_size=vocab_size,
@@ -187,7 +193,8 @@ def test_embedding_gradient_is_add_at_over_dx_bitwise(vocab_size, seq_len, batch
     """Every token repeats (more positions than vocabulary), so each cell
     sums several rows of a chunk's ``dx``, in sequence order from +0.0; the
     chunks' sums add up in chunk order.  One worker runs the chunks in
-    order, and each one's ``dx`` is read as its backward pass leaves it."""
+    order, and each one's ``dx`` is read from the top row of ``x``, where
+    its backward pass leaves it."""
     cfg = ToyConfig(n_layers=2, d_model=4, vocab_size=vocab_size, seq_len=seq_len)
     model = random_model(cfg, seed)
     rng = np.random.default_rng(seed)
@@ -196,7 +203,7 @@ def test_embedding_gradient_is_add_at_over_dx_bitwise(vocab_size, seq_len, batch
 
     def keep_dx(model, tok, buf, *args):
         g = _backward(model, tok, buf, *args)
-        chunks.append((tok, buf.dx.copy()))
+        chunks.append((tok, buf.x[-1].copy()))
         return g
 
     with pytest.MonkeyPatch.context() as patch:
@@ -383,17 +390,25 @@ def test_evaluate_in_chunks_equals_fresh_buffers(monkeypatch, n, craft_adapt):
 
 @pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward-only"])
 def test_buffers_hold_one_layer_of_ctx(backward):
-    """``ctx`` is one layer of ``(batch, seq_len, d)``; the backward pass
-    recomputes it and then uses it as its product scratch.  Every other
-    activation keeps its documented depth."""
+    """``ctx`` is one work row per sequence: one layer of ``(seq_len, d)``
+    forward-only, and wide enough for two score-sized arrays in training,
+    where the backward pass writes each gradient over a value it has
+    finished with.  Every other activation keeps its documented depth."""
     cfg = ToyConfig(n_layers=4, d_model=6, seq_len=5)
-    batch, s, d = 3, cfg.seq_len, cfg.d_model
+    batch, s, d, n_layers = 3, cfg.seq_len, cfg.d_model, cfg.n_layers
     buf = _Buffers(cfg, batch, backward=backward)
-    assert buf.ctx.shape == (batch, s, d)
-    depth = cfg.n_layers if backward else 1
-    # x keeps depth + 1 rows, q, k, v depth and ctx one; the backward scratch
-    # is dx and two (batch, s, d) gradient arrays plus two score-sized ones
-    acts = (depth + 1) + 3 * depth + 1 + (3 if backward else 0)
-    scores = depth + (2 if backward else 0)
+    # 2 * s * s = 50 > s * d = 30: the training work rows take the score width
+    assert buf.ctx.shape == (batch, 2 * s * s if backward else s * d)
+    assert buf.work(0, (batch, s, d)).shape == (batch, s, d)
+    for name in ("dx", "d_v", "d_attn", "tmp_attn"):
+        assert not hasattr(buf, name), name
+    assert hasattr(buf, "grad") == backward
+    if backward:
+        # (L+1)·S·d + 3L·S·d + L·S² + max(S·d, 2·S²) + S·d per sequence
+        per_sequence = ((n_layers + 1) * s * d + 3 * n_layers * s * d + n_layers * s * s
+                        + max(s * d, 2 * s * s) + s * d)
+    else:
+        # x alternates between two rows; q, k, v, attn and ctx hold one layer
+        per_sequence = 2 * s * d + 3 * s * d + s * s + s * d
     nbytes = sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
-    assert nbytes == 8 * batch * s * (acts * d + scores * s)
+    assert nbytes == 8 * batch * per_sequence
